@@ -64,7 +64,7 @@ main()
         for (auto &a : sample)
             a = setup.bernoulli(0.5) ? 1 : -1;
 
-    // threads = 0: the shared ExecutorPool, sized by SUPERBNN_THREADS.
+    // threads = 0: the shared pool's shard 0, sized by SUPERBNN_THREADS.
     const crossbar::TileExecutor exec(16, false, 0.25, 0);
 
     Rng rng(11);

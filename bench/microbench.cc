@@ -26,7 +26,6 @@
 #include "sc/bitstream.h"
 #include "simd/kernels.h"
 #include "tensor/tensor_ops.h"
-#include "util/executor_pool.h"
 #include "util/sharded_executor_pool.h"
 
 using namespace superbnn;
@@ -434,7 +433,8 @@ reportBernoulliSpeedup()
 /**
  * Self-timed shared-pool comparison: construct-and-run many executors
  * (the fig11 / co-optimizer sweep pattern) with a private pool each
- * versus all of them attached to the process-wide ExecutorPool. The
+ * versus all of them on shard 0 of the process-wide
+ * ShardedExecutorPool (threads = 0). The
  * difference is pure thread spawn/teardown cost.
  */
 void
@@ -457,10 +457,10 @@ reportExecutorPoolReuse()
     const std::size_t executors = 64;
     const std::size_t pool_threads = 2;
     setenv("SUPERBNN_THREADS", "2", 1);
-    util::ExecutorPool::reset();
+    util::ShardedExecutorPool::reset();
 
     std::printf("\n==== executor construction: private pools vs shared "
-                "ExecutorPool (%zu executors, %zu threads) ====\n",
+                "executor pool (%zu executors, %zu threads) ====\n",
                 executors, pool_threads);
     std::printf("%10s %14s %9s\n", "mode", "executors/s", "speedup");
     double private_rate = 0.0;
@@ -483,7 +483,7 @@ reportExecutorPoolReuse()
                     rate / private_rate);
     }
     unsetenv("SUPERBNN_THREADS");
-    util::ExecutorPool::reset();
+    util::ShardedExecutorPool::reset();
 }
 
 /**

@@ -7,9 +7,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/executor_pool.h"
 #include "util/sharded_executor_pool.h"
-#include "util/thread_pool.h"
 
 namespace superbnn::core {
 
@@ -192,21 +190,7 @@ DesignSpaceExplorer::explore(const aqfp::WorkloadSpec &workload,
         if (options.measure)
             cand.measured = probe_.measureWorkload(workload, cand.config);
     };
-    if (options.threads == 1) {
-        for (std::size_t i = 0; i < feasible.size(); ++i)
-            evaluate(i);
-    } else if (options.threads == 0) {
-        // Default concurrency spreads candidates round-robin across
-        // the topology shards (one per NUMA node; a single-node host
-        // degenerates to the historical flat pool). Slot-per-task
-        // writes make the spread unobservable in the results.
-        util::ShardedExecutorPool::shared()->parallelForSharded(
-            feasible.size(), evaluate);
-    } else {
-        const auto pool =
-            std::make_shared<util::ThreadPool>(options.threads);
-        pool->parallelFor(feasible.size(), evaluate);
-    }
+    util::parallelForThreads(options.threads, feasible.size(), evaluate);
 
     // Accuracy callbacks are user code of unknown thread safety: run
     // them sequentially, in candidate order (also the documented

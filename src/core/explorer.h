@@ -14,8 +14,8 @@
  *     simulation) — feasibility is a separate stage, never entangled
  *     with ranking;
  *  3. evaluate the feasible candidates — AME and (optionally) the
- *     ledger-measured energy report — fanned out on the shared
- *     util::ExecutorPool, with mapped models and calibration counts
+ *     ledger-measured energy report — fanned out by
+ *     util::parallelForThreads, with mapped models and calibration counts
  *     reused across candidates through the ProgrammedModelCache /
  *     MeasuredCostProbe instead of re-derived per point;
  *  4. rank under a pluggable CostFn (analytic energy, measured energy,
@@ -98,9 +98,10 @@ struct ExploreOptions
     /// sequentially in enumeration order (user callbacks need not be
     /// thread-safe). Fills CoOptCandidate::accuracy.
     AccuracyFn accuracy;
-    /// Concurrency of the evaluation fan-out: 0 (default) shares the
-    /// process-wide util::ExecutorPool, 1 = sequential, N > 1 = a
-    /// private N-thread pool. Results are bit-identical regardless.
+    /// Concurrency of the evaluation fan-out, as
+    /// util::parallelForThreads: 0 (default) = every shard of the
+    /// shared pool, 1 = sequential, N > 1 = a private N-thread pool.
+    /// Results are bit-identical regardless.
     std::size_t threads = 0;
 };
 

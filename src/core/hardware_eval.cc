@@ -1,9 +1,9 @@
 #include "core/hardware_eval.h"
 
-#include <cassert>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace superbnn::core {
 
@@ -45,6 +45,18 @@ modelCacheKey(const std::string &tag, const std::string &layer,
                   static_cast<unsigned long long>(bitPattern(fit.a)),
                   static_cast<unsigned long long>(bitPattern(fit.b)));
     return tag + "/" + layer + buf;
+}
+
+/** Per-sample argmax of a batch of class scores. */
+std::vector<std::size_t>
+argmaxEach(const std::vector<std::vector<double>> &scores)
+{
+    std::vector<std::size_t> best(scores.size(), 0);
+    for (std::size_t b = 0; b < scores.size(); ++b)
+        for (std::size_t j = 1; j < scores[b].size(); ++j)
+            if (scores[b][j] > scores[b][best[b]])
+                best[b] = j;
+    return best;
 }
 
 } // namespace
@@ -100,31 +112,6 @@ HardwareEvaluator::resolvePlan(std::size_t cell_count)
         }
         execIndex_[i] = slot;
     }
-    applyExecutorPool();
-}
-
-void
-HardwareEvaluator::applyExecutorPool()
-{
-    for (crossbar::TileExecutor &exec : executors_) {
-        if (shardPool_ && plan_.threads != 1) {
-            // Node-local execution: replace pooled dispatch with the
-            // shard's pool. threads==1 plans stay sequential — the
-            // shard handle never introduces parallelism the plan
-            // didn't ask for.
-            exec.attachPool(shardPool_);
-        } else if (!shardPool_) {
-            exec.setThreads(plan_.threads);
-        }
-    }
-}
-
-void
-HardwareEvaluator::setExecutorPool(
-    std::shared_ptr<util::ThreadPool> shard_pool)
-{
-    shardPool_ = std::move(shard_pool);
-    applyExecutorPool();
 }
 
 void
@@ -356,13 +343,45 @@ struct HardwareEvaluator::RootSource
     }
 };
 
-std::vector<int>
-HardwareEvaluator::binarizeInput(const Tensor &sample) const
+std::size_t
+HardwareEvaluator::inputSize() const
 {
-    std::vector<int> out(sample.size());
-    for (std::size_t i = 0; i < sample.size(); ++i)
-        out[i] = sample[i] >= 0.0f ? 1 : -1;
-    return out;
+    if (kind == Kind::None)
+        return 0;
+    if (mapped.empty())
+        return headMapped.fanIn;
+    const MappedCell &first = mapped.front();
+    return kind == Kind::Cnn
+        ? first.inChannels * first.inSide * first.inSide
+        : first.layer.fanIn;
+}
+
+std::vector<std::vector<int>>
+HardwareEvaluator::binarizeInputs(const std::vector<Tensor> &samples,
+                                  const char *caller) const
+{
+    // Checked in every build: an unmapped evaluator has no executors,
+    // and a short sample would be read past its end.
+    if (kind == Kind::None)
+        throw std::logic_error(std::string("HardwareEvaluator::")
+                               + caller + ": map a model first");
+    const std::size_t want = inputSize();
+    std::vector<std::vector<int>> inputs;
+    inputs.reserve(samples.size());
+    for (std::size_t b = 0; b < samples.size(); ++b) {
+        const Tensor &sample = samples[b];
+        if (sample.size() != want)
+            throw std::invalid_argument(
+                std::string("HardwareEvaluator::") + caller + ": sample "
+                + std::to_string(b) + " has "
+                + std::to_string(sample.size())
+                + " elements, the mapped model's input size is "
+                + std::to_string(want));
+        std::vector<int> &out = inputs.emplace_back(sample.size());
+        for (std::size_t i = 0; i < sample.size(); ++i)
+            out[i] = sample[i] >= 0.0f ? 1 : -1;
+    }
+    return inputs;
 }
 
 std::vector<std::vector<double>>
@@ -506,11 +525,8 @@ std::vector<std::vector<double>>
 HardwareEvaluator::classScores(const std::vector<Tensor> &samples,
                                Rng &rng) const
 {
-    assert(kind != Kind::None && "map a model first");
-    std::vector<std::vector<int>> inputs;
-    inputs.reserve(samples.size());
-    for (const Tensor &s : samples)
-        inputs.push_back(binarizeInput(s));
+    const std::vector<std::vector<int>> inputs =
+        binarizeInputs(samples, "classScores");
     images_.fetch_add(samples.size(), std::memory_order_relaxed);
     RootSource roots;
     roots.shared = &rng;
@@ -523,16 +539,13 @@ HardwareEvaluator::classScoresSeeded(
     const std::vector<Tensor> &samples,
     const std::vector<std::uint64_t> &seeds) const
 {
-    assert(kind != Kind::None && "map a model first");
+    const std::vector<std::vector<int>> inputs =
+        binarizeInputs(samples, "classScoresSeeded");
     if (samples.size() != seeds.size())
         throw std::invalid_argument(
             "HardwareEvaluator::classScoresSeeded: "
             + std::to_string(seeds.size()) + " seeds for "
             + std::to_string(samples.size()) + " samples");
-    std::vector<std::vector<int>> inputs;
-    inputs.reserve(samples.size());
-    for (const Tensor &s : samples)
-        inputs.push_back(binarizeInput(s));
     images_.fetch_add(samples.size(), std::memory_order_relaxed);
     // One private engine per request: sample i consumes the exact draw
     // sequence classScores(samples[i], Rng(seeds[i])) would.
@@ -551,13 +564,7 @@ HardwareEvaluator::predictSeeded(
     const std::vector<Tensor> &samples,
     const std::vector<std::uint64_t> &seeds) const
 {
-    const auto scores = classScoresSeeded(samples, seeds);
-    std::vector<std::size_t> best(scores.size(), 0);
-    for (std::size_t b = 0; b < scores.size(); ++b)
-        for (std::size_t j = 1; j < scores[b].size(); ++j)
-            if (scores[b][j] > scores[b][best[b]])
-                best[b] = j;
-    return best;
+    return argmaxEach(classScoresSeeded(samples, seeds));
 }
 
 std::vector<double>
@@ -571,13 +578,7 @@ std::vector<std::size_t>
 HardwareEvaluator::predict(const std::vector<Tensor> &samples,
                            Rng &rng) const
 {
-    const auto scores = classScores(samples, rng);
-    std::vector<std::size_t> best(scores.size(), 0);
-    for (std::size_t b = 0; b < scores.size(); ++b)
-        for (std::size_t j = 1; j < scores[b].size(); ++j)
-            if (scores[b][j] > scores[b][best[b]])
-                best[b] = j;
-    return best;
+    return argmaxEach(classScores(samples, rng));
 }
 
 std::size_t
@@ -609,25 +610,6 @@ HardwareEvaluator::evaluate(const data::Dataset &dataset,
     return count == 0 ? 0.0
                       : static_cast<double>(correct)
             / static_cast<double>(count);
-}
-
-std::size_t
-HardwareEvaluator::injectVariation(double gray_zone_sigma,
-                                   double stuck_cell_fraction, Rng &rng)
-{
-    std::size_t stuck = 0;
-    auto hit = [&](crossbar::MappedLayer &layer) {
-        for (auto &tile : layer.tiles) {
-            if (gray_zone_sigma > 0.0)
-                tile.applyGrayZoneVariation(gray_zone_sigma, rng);
-            if (stuck_cell_fraction > 0.0)
-                stuck += tile.injectStuckCells(stuck_cell_fraction, rng);
-        }
-    };
-    for (auto &mc : mapped)
-        hit(mc.layer);
-    hit(headMapped);
-    return stuck;
 }
 
 std::size_t

@@ -86,8 +86,10 @@ struct LayerEnergyReport
  * energyReports' per-image normalization) is only meaningful when no
  * OTHER evaluation stream records into these ledgers between the two
  * snapshots — the service guarantees that by being its evaluator's
- * sole user. Mutating calls (mapMlp/mapCnn, injectVariation*,
- * resetLedgers) are never safe to race with evaluation.
+ * sole user. Mutating calls (mapMlp/mapCnn, injectVariationSeeded,
+ * resetLedgers) are never safe to race with evaluation. Where tile
+ * loops run is fixed by the plan's `threads` when mapMlp/mapCnn builds
+ * the executors (see util/sharded_executor_pool.h).
  */
 class HardwareEvaluator
 {
@@ -136,6 +138,12 @@ class HardwareEvaluator
     /**
      * Class scores of one sample: the head crossbar's decoded APC counts
      * scaled by the head's alpha (a small digital post-multiply).
+     *
+     * Every evaluation entry point (classScores*, predict*, evaluate)
+     * checks its input in every build:
+     * @throws std::logic_error when no model is mapped
+     * @throws std::invalid_argument when a sample's element count is
+     *         not inputSize()
      *
      * @param sample  (1, D) or (1, C, H, W) float input
      */
@@ -209,6 +217,12 @@ class HardwareEvaluator
     double evaluate(const data::Dataset &dataset, std::size_t max_samples,
                     Rng &rng) const;
 
+    /**
+     * Elements per sample the mapped model takes (D for an MLP,
+     * C * H * W for a CNN); 0 before mapMlp/mapCnn.
+     */
+    std::size_t inputSize() const;
+
     /** Total crossbar tiles across all mapped layers. */
     std::size_t totalCrossbars() const;
 
@@ -243,16 +257,10 @@ class HardwareEvaluator
     void resetLedgers();
 
     /**
-     * Robustness experiments: apply fabrication gray-zone variation
-     * and/or stuck-cell faults to every mapped tile (including the
-     * head). Returns the number of stuck cells injected.
-     */
-    std::size_t injectVariation(double gray_zone_sigma,
-                                double stuck_cell_fraction, Rng &rng);
-
-    /**
-     * Reproducible variation injection for Monte-Carlo yield sweeps:
-     * every tile's stuck-cell mask is seeded per
+     * Robustness experiments and Monte-Carlo yield sweeps: apply
+     * fabrication gray-zone variation and/or stuck-cell faults to
+     * every mapped tile (including the head). Every tile's stuck-cell
+     * mask is seeded per
      * faultMaskSeed(master_seed, chip_index, layer, rt, ct) through
      * the counter-stream path (crossbar::CrossbarArray::
      * injectStuckCellsSeeded), and each tile's gray-zone variation
@@ -284,18 +292,6 @@ class HardwareEvaluator
 
     /** The per-layer plan this evaluator runs (uniform or not). */
     const HardwarePlan &plan() const { return plan_; }
-
-    /**
-     * Pin every executor of this evaluator to an explicit shard pool
-     * (one NUMA node's ThreadPool from util::ShardedExecutorPool), so
-     * its tile loops and buffers stay node-local. Applies to the
-     * current executors and to any rebuilt by a later mapMlp/mapCnn;
-     * null reverts to the plan's own threads setting. Scores are
-     * bit-identical regardless — sharding only moves work, never
-     * changes it. Note plan threads==1 cells stay sequential; the
-     * shard handle replaces only pooled execution.
-     */
-    void setExecutorPool(std::shared_ptr<util::ThreadPool> shard_pool);
 
     /**
      * The plan resolved against the mapped model: one entry per mapped
@@ -332,9 +328,6 @@ class HardwareEvaluator
     /// path); execIndex_[i] is cell i's executor.
     std::vector<crossbar::TileExecutor> executors_;
     std::vector<std::size_t> execIndex_;
-    /// Explicit shard handle from setExecutorPool (null = none);
-    /// re-applied whenever resolvePlan rebuilds the executors.
-    std::shared_ptr<util::ThreadPool> shardPool_;
     Kind kind = Kind::None;
     std::vector<MappedCell> mapped;
     crossbar::MappedLayer headMapped;
@@ -348,8 +341,6 @@ class HardwareEvaluator
 
     /** Allocate one fresh ledger per mapped layer + head. */
     void initLedgers();
-    /** (Re)apply shardPool_ — or the plan's threads — to executors_. */
-    void applyExecutorPool();
     /**
      * Resolve plan_ against @p cell_count cells and (re)build the
      * per-distinct-window executors + cell->executor index.
@@ -374,7 +365,14 @@ class HardwareEvaluator
      */
     struct RootSource;
 
-    std::vector<int> binarizeInput(const Tensor &sample) const;
+    /**
+     * The +/-1 executor inputs of @p samples, after the checks every
+     * evaluation entry point documents (@p caller names it in the
+     * error).
+     */
+    std::vector<std::vector<int>>
+    binarizeInputs(const std::vector<Tensor> &samples,
+                   const char *caller) const;
     std::vector<std::vector<double>>
     runMlpBatch(const std::vector<std::vector<int>> &inputs,
                 RootSource &roots) const;

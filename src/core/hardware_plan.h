@@ -47,10 +47,11 @@ struct HardwareConfig
     double deltaIinUa = 2.4;         ///< neuron gray-zone width
     bool exactApc = false;           ///< ablation: exact parallel counter
     double dropFraction = 0.25;      ///< APC approximation level
-    /// Executor concurrency: 0 (default) shares the process-wide
-    /// util::ExecutorPool (sized from SUPERBNN_THREADS / hardware
-    /// threads when that pool is first created), 1 = sequential,
-    /// N > 1 = a private N-thread pool.
+    /// Executor concurrency, fixed when the executors are built:
+    /// 0 (default) = shard 0 of util::ShardedExecutorPool::shared()
+    /// (sized from SUPERBNN_THREADS / hardware threads when that pool
+    /// is first created), 1 = sequential, N > 1 = a private N-thread
+    /// pool (see crossbar::TileExecutor).
     std::size_t threads = 0;
     /// Samples evaluated per batched executor pass in evaluate().
     std::size_t evalBatch = 8;

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "util/executor_pool.h"
 #include "util/sharded_executor_pool.h"
 
 namespace superbnn::core {
@@ -270,22 +269,10 @@ ScenarioSweep::run(const ScenarioGrid &grid,
         flat[i] = runChip(corner, options,
                           static_cast<std::uint64_t>(i % chips));
     };
-    if (options.threads == 1) {
-        for (std::size_t i = 0; i < total; ++i)
-            evaluate(i);
-    } else if (options.threads == 0) {
-        // Default concurrency stripes the (corner, chip) tasks
-        // round-robin across the topology shards, so a multi-node
-        // host evaluates chips on every socket with node-local
-        // workers. Per-chip results are pure functions of the seeds,
-        // so the striping never shows up in the reduction.
-        util::ShardedExecutorPool::shared()->parallelForSharded(
-            total, evaluate);
-    } else {
-        const auto pool =
-            std::make_shared<util::ThreadPool>(options.threads);
-        pool->parallelFor(total, evaluate);
-    }
+    // Default concurrency stripes the tasks round-robin across the
+    // topology shards, so a multi-node host evaluates chips on every
+    // socket with node-local workers.
+    util::parallelForThreads(options.threads, total, evaluate);
 
     // Reduction: sequential, in corner/chip order — float sums keep a
     // fixed association order, integer totals commute anyway.

@@ -9,7 +9,7 @@
  * of fabricated chip instances still meets a given accuracy floor? It
  * instantiates many fault-injected chips — each a pure function of
  * (masterSeed, chipIndex) via the counter-based SplitMix64 stream idiom
- * — evaluates each as one task on the shared util::ExecutorPool with
+ * — evaluates each as one task of util::parallelForThreads with
  * per-chip ledger attribution, and reduces to accuracy-vs-yield
  * surfaces: per-corner histograms, yield at configurable accuracy
  * floors with Wilson confidence intervals, and mean/P05/P95 bands.
@@ -101,8 +101,9 @@ struct SweepOptions
     std::vector<double> accuracyFloors{0.5, 0.7, 0.9};
     /// Histogram bins over accuracy in [0, 1].
     std::size_t histogramBins = 10;
-    /// Chip-task concurrency: 0 = shared util::ExecutorPool,
-    /// 1 = sequential, N > 1 = a private N-thread pool.
+    /// Chip-task concurrency, as util::parallelForThreads: 0 = every
+    /// shard of the shared pool, 1 = sequential, N > 1 = a private
+    /// N-thread pool.
     std::size_t threads = 0;
     /// Per-chip gray-zone fabrication spread (sigma of the deltaIin
     /// multiplier), on top of the corner's temperature scale.

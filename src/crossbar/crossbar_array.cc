@@ -241,21 +241,6 @@ CrossbarArray::applyGrayZoneVariation(double sigma, Rng &rng)
 }
 
 std::size_t
-CrossbarArray::injectStuckCells(double fraction, Rng &rng)
-{
-    assert(fraction >= 0.0 && fraction <= 1.0);
-    std::size_t knocked = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (cells[i].active() && rng.bernoulli(fraction)) {
-            cells[i].clear();
-            weightCache[i] = 0;
-            ++knocked;
-        }
-    }
-    return knocked;
-}
-
-std::size_t
 CrossbarArray::injectStuckCellsSeeded(double fraction, std::uint64_t seed)
 {
     assert(fraction >= 0.0 && fraction <= 1.0);

@@ -159,18 +159,12 @@ class CrossbarArray
 
     /**
      * Fault injection: a fraction of LiM cells become stuck (lose their
-     * stored flux and stop emitting current pulses). Returns the number
-     * of cells actually knocked out.
-     */
-    std::size_t injectStuckCells(double fraction, Rng &rng);
-
-    /**
-     * Seeded fault injection: the stuck-cell mask is a pure function of
-     * (@p seed, fraction) via the same counter-based SplitMix64 stream
-     * the seeded observe path uses — bit i of the mask is draw i of
-     * CounterStream{seed, 0} compared against the Bernoulli threshold,
-     * independent of draw order, thread count, or how many cells are
-     * currently active. Because each draw is a fixed function of
+     * stored flux and stop emitting current pulses). The stuck-cell
+     * mask is a pure function of (@p seed, fraction) via the same
+     * counter-based SplitMix64 stream the seeded observe path uses —
+     * bit i of the mask is draw i of CounterStream{seed, 0} compared
+     * against the Bernoulli threshold, independent of draw order,
+     * thread count, or how many cells are currently active. Because each draw is a fixed function of
      * (seed, position), raising @p fraction only widens the threshold:
      * the mask at a higher fraction is a superset of the mask at a
      * lower one for the same seed (nested faults). Returns the number

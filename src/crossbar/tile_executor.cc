@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/executor_pool.h"
 #include "util/sharded_executor_pool.h"
 
 namespace superbnn::crossbar {
@@ -38,48 +37,37 @@ tileSeed(std::uint64_t root, std::size_t rt, std::size_t ct)
                      ^ (static_cast<std::uint64_t>(ct) + 1)));
 }
 
+/**
+ * The pool a `threads` setting resolves to: shard 0 of the shared pool
+ * (whose size was fixed from SUPERBNN_THREADS when it was first
+ * created — see util::ShardedExecutorPool::shared), none for
+ * sequential, or a private pool of an explicit size (thread-count
+ * sweeps, tests pinning concurrency).
+ */
+std::shared_ptr<util::ThreadPool>
+resolvePool(std::size_t threads)
+{
+    if (threads == 0)
+        return util::ShardedExecutorPool::shared()->shard(0);
+    if (threads == 1)
+        return nullptr;
+    return std::make_shared<util::ThreadPool>(threads);
+}
+
 } // namespace
 
 TileExecutor::TileExecutor(std::size_t window, bool use_exact_apc,
                            double drop_fraction, std::size_t threads)
-    : window_(window), useExact(use_exact_apc), dropFraction(drop_fraction)
+    : window_(window), useExact(use_exact_apc), dropFraction(drop_fraction),
+      pool(resolvePool(threads)), sharedPool(threads == 0)
 {
     assert(window >= 1);
-    setThreads(threads);
 }
 
 std::size_t
 TileExecutor::threads() const
 {
     return pool ? pool->threadCount() : 1;
-}
-
-void
-TileExecutor::setThreads(std::size_t threads)
-{
-    sharedPool = false;
-    if (threads == 1) {
-        pool.reset();
-        return;
-    }
-    if (threads == 0) {
-        // Attach to the process-wide pool. Its size was resolved (from
-        // SUPERBNN_THREADS) when the pool was first created — see
-        // util::ExecutorPool for the resolution-point contract.
-        pool = util::ExecutorPool::shared();
-        sharedPool = true;
-        return;
-    }
-    // An explicit count is a request for a private pool of that size
-    // (thread-count sweeps, tests pinning concurrency).
-    pool = std::make_shared<util::ThreadPool>(threads);
-}
-
-void
-TileExecutor::attachPool(std::shared_ptr<util::ThreadPool> shard_pool)
-{
-    sharedPool = false;
-    pool = std::move(shard_pool);
 }
 
 void
@@ -130,6 +118,20 @@ requireMatchingRoots(std::size_t samples, std::size_t roots)
             "TileExecutor: per-sample root count ("
             + std::to_string(roots) + ") must match the batch size ("
             + std::to_string(samples) + ")");
+}
+
+/** Checked in every build: a short sample would be read past its end. */
+void
+requireFanIn(const MappedLayer &layer,
+             const std::vector<std::vector<int>> &batch)
+{
+    for (std::size_t b = 0; b < batch.size(); ++b)
+        if (batch[b].size() != layer.fanIn)
+            throw std::invalid_argument(
+                "TileExecutor: sample " + std::to_string(b) + " has "
+                + std::to_string(batch[b].size())
+                + " activations, the layer's fan-in is "
+                + std::to_string(layer.fanIn));
 }
 
 } // namespace
@@ -210,10 +212,7 @@ TileExecutor::forwardSeeded(const MappedLayer &layer,
                             const std::vector<std::uint64_t> &roots,
                             aqfp::HardwareLedger *ledger) const
 {
-#ifndef NDEBUG
-    for (const auto &acts : batch)
-        assert(acts.size() == layer.fanIn);
-#endif
+    requireFanIn(layer, batch);
     requireMatchingRoots(batch.size(), roots.size());
     const std::size_t samples = batch.size();
     std::vector<std::vector<int>> out(
@@ -248,7 +247,6 @@ TileExecutor::forward(const MappedLayer &layer,
                       const std::vector<int> &activations, Rng &rng,
                       aqfp::HardwareLedger *ledger) const
 {
-    assert(activations.size() == layer.fanIn);
     auto batched = forward(
         layer, std::vector<std::vector<int>>{activations}, rng, ledger);
     return std::move(batched[0]);
@@ -261,10 +259,7 @@ TileExecutor::forwardDecodedSeeded(
     const std::vector<std::uint64_t> &roots,
     aqfp::HardwareLedger *ledger) const
 {
-#ifndef NDEBUG
-    for (const auto &acts : batch)
-        assert(acts.size() == layer.fanIn);
-#endif
+    requireFanIn(layer, batch);
     requireMatchingRoots(batch.size(), roots.size());
     const std::size_t samples = batch.size();
     std::vector<std::vector<double>> out(
@@ -299,7 +294,6 @@ TileExecutor::forwardDecoded(const MappedLayer &layer,
                              const std::vector<int> &activations,
                              Rng &rng, aqfp::HardwareLedger *ledger) const
 {
-    assert(activations.size() == layer.fanIn);
     auto batched = forwardDecoded(
         layer, std::vector<std::vector<int>>{activations}, rng, ledger);
     return std::move(batched[0]);

@@ -10,16 +10,16 @@
  *
  * Execution is threaded and batched. The (rowTile, colTile) tile
  * observations of a forward pass are independent, so they run as
- * parallel tasks on a util::ThreadPool — by default the process-wide
- * shared util::ExecutorPool, so any number of executors reuse one set
- * of worker threads — each writing its streams into its own slot of a
- * preallocated scratch table; the pool's barrier then separates
- * observation from the (also parallel) per-column-group accumulation
- * merge. Determinism does not depend on the thread count: every
- * (sample, tile) task draws from its own counter-based RNG stream
- * (sc::detail::CounterStream) whose 8-byte seed mixes one root draw
- * per sample (taken from the caller's Rng in sample order) with the
- * tile coordinates. Consequences:
+ * parallel tasks on a util::ThreadPool — by default shard 0 of the
+ * process-wide util::ShardedExecutorPool, so any number of executors
+ * reuse one set of worker threads — each writing its streams into its
+ * own slot of a preallocated scratch table; the pool's barrier then
+ * separates observation from the (also parallel) per-column-group
+ * accumulation merge. Determinism does not depend on the thread
+ * count: every (sample, tile) task draws from its own counter-based
+ * RNG stream (sc::detail::CounterStream) whose 8-byte seed mixes one
+ * root draw per sample (taken from the caller's Rng in sample order)
+ * with the tile coordinates. Consequences:
  *
  *  - any thread count, pool sharing arrangement, and SIMD dispatch arm
  *    produces bit-identical outputs, and
@@ -58,12 +58,16 @@ class TileExecutor
      * @param window         SC observation window length L
      * @param use_exact_apc  ablation: exact instead of approximate APC
      * @param drop_fraction  APC approximation aggressiveness
-     * @param threads        executor concurrency: 0 (default) shares
-     *                       the process-wide util::ExecutorPool (sized
-     *                       from SUPERBNN_THREADS / hardware
-     *                       concurrency when that pool is first
-     *                       created); 1 = sequential; N > 1 = a
-     *                       private pool of N threads
+     * @param threads        executor concurrency, resolved here once
+     *                       and fixed for the executor's lifetime:
+     *                       0 (default) = shard 0 of
+     *                       util::ShardedExecutorPool::shared() (which
+     *                       reads SUPERBNN_THREADS when first created),
+     *                       rerouted to the bound shard on a thread
+     *                       holding a util::ShardBinding; 1 =
+     *                       sequential; N > 1 = a private pool of N
+     *                       threads. Outputs are bit-identical across
+     *                       all settings.
      */
     explicit TileExecutor(std::size_t window, bool use_exact_apc = false,
                           double drop_fraction = 0.25,
@@ -126,6 +130,8 @@ class TileExecutor
      * @param roots   one raw 64-bit root draw per sample
      * @param ledger  optional hardware-activity ledger
      * @throws std::invalid_argument when roots.size() != batch.size()
+     *         or a sample's length is not layer.fanIn (checked in
+     *         every build, as in every forward overload)
      */
     std::vector<std::vector<int>>
     forwardSeeded(const MappedLayer &layer,
@@ -155,6 +161,7 @@ class TileExecutor
      * Batched forwardDecoded with caller-supplied per-sample roots
      * (same per-request determinism contract as forwardSeeded).
      * @throws std::invalid_argument when roots.size() != batch.size()
+     *         or a sample's length is not layer.fanIn
      */
     std::vector<std::vector<double>>
     forwardDecodedSeeded(const MappedLayer &layer,
@@ -189,41 +196,20 @@ class TileExecutor
     /** Effective concurrency (1 when running sequentially). */
     std::size_t threads() const;
 
-    /**
-     * Reconfigure concurrency: 1 drops the pool (pure sequential
-     * path); 0 attaches to the process-wide util::ExecutorPool —
-     * acquiring whatever pool exists *at this call*, so a
-     * SUPERBNN_THREADS change after the shared pool was first created
-     * is ignored until util::ExecutorPool::reset() (the documented
-     * resolution point); N > 1 allocates a private N-thread pool.
-     * Outputs are bit-identical across all settings.
-     */
-    void setThreads(std::size_t threads);
-
-    /**
-     * Attach this executor to an explicit pool handle — the sharded
-     * executor layer passes one NUMA shard's pool so this executor's
-     * tile loops (and the tile buffers they touch) stay node-local.
-     * Unlike setThreads(0), an explicitly attached pool is *not*
-     * rerouted by util::ShardBinding; null detaches (sequential).
-     * Outputs are bit-identical regardless of the attached pool.
-     */
-    void attachPool(std::shared_ptr<util::ThreadPool> shard_pool);
-
   private:
-    std::size_t window_;
-    bool useExact;
-    double dropFraction;
-    /// The executor's pool — by default the process-wide shared
-    /// ExecutorPool; null = sequential. Sharing is safe: a parallelFor
+    const std::size_t window_;
+    const bool useExact;
+    const double dropFraction;
+    /// The pool resolved at construction — shard 0 of the shared pool
+    /// (threads = 0), a private pool (threads = N), or null
+    /// (threads = 1, sequential). Sharing is safe: a parallelFor
     /// issued while another executor's loop is in flight runs inline
     /// rather than racing or blocking (see ThreadPool::parallelFor).
-    std::shared_ptr<util::ThreadPool> pool;
-    /// True when `pool` came from setThreads(0) (the shared pool). A
-    /// live util::ShardBinding on the calling thread then reroutes
-    /// runParallel to the bound shard, keeping nested work node-local;
-    /// private pools (setThreads(N), attachPool) are never rerouted.
-    bool sharedPool = false;
+    const std::shared_ptr<util::ThreadPool> pool;
+    /// threads = 0: a live util::ShardBinding on the calling thread
+    /// reroutes runParallel to the bound shard, keeping nested work
+    /// node-local. Private pools are never rerouted.
+    const bool sharedPool;
 
     /** parallelFor through the pool, or a plain loop without one. */
     void runParallel(std::size_t n,

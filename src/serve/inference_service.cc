@@ -137,6 +137,16 @@ std::optional<std::future<InferenceResponse>>
 InferenceService::trySubmitLocked(Tensor sample, std::uint64_t seed,
                                   bool throw_on_reject)
 {
+    // A malformed request fails alone, here, instead of failing every
+    // other request of the megabatch it would have ridden in. An
+    // unmapped evaluator (input size 0) is left to report through the
+    // future.
+    const std::size_t want = evaluator.inputSize();
+    if (want != 0 && sample.size() != want)
+        throw std::invalid_argument(
+            "InferenceService: sample has " + std::to_string(sample.size())
+            + " elements, the mapped model's input size is "
+            + std::to_string(want));
     std::unique_lock<std::mutex> lock(mutex_);
     if (stopping) {
         if (throw_on_reject)
@@ -316,7 +326,7 @@ InferenceService::shardedScores(
     std::vector<std::exception_ptr> errors(k);
     auto runRange = [&](std::size_t j) {
         try {
-            const util::ShardBinding bind(j, shards_->shard(j));
+            const util::ShardBinding bind(shards_->shard(j));
             std::vector<Tensor> part(
                 std::make_move_iterator(samples.begin() + starts[j]),
                 std::make_move_iterator(samples.begin()

@@ -174,6 +174,8 @@ class InferenceService
      * @p seed pins the request's stochastic-computing noise stream —
      * the response is a pure function of (mapped model, sample, seed).
      *
+     * @throws std::invalid_argument when @p sample's element count is
+     *         not the mapped model's input size (nothing is queued)
      * @throws QueueFullError when maxQueue requests are already queued
      * @throws ShutdownError  after stop()
      */
@@ -181,8 +183,10 @@ class InferenceService
                                           std::uint64_t seed);
 
     /**
-     * Non-throwing admission: nullopt instead of QueueFullError /
-     * ShutdownError (the load generator's drop-and-count path).
+     * Load-shedding admission: nullopt instead of QueueFullError /
+     * ShutdownError (the load generator's drop-and-count path). A
+     * wrong-size sample is a caller error, not load, and still throws
+     * std::invalid_argument.
      */
     std::optional<std::future<InferenceResponse>>
     trySubmit(Tensor sample, std::uint64_t seed);

@@ -139,7 +139,7 @@ ShardedExecutorPool::parallelForSharded(
             return;
         try {
             shards_[j]->parallelFor(count, [&, j](std::size_t t) {
-                const ShardBinding bind(j, shards_[j]);
+                const ShardBinding bind(shards_[j]);
                 body(j + t * k);
             });
         } catch (...) {
@@ -158,9 +158,21 @@ ShardedExecutorPool::parallelForSharded(
             std::rethrow_exception(err);
 }
 
-ShardBinding::ShardBinding(std::size_t shard,
-                           std::shared_ptr<ThreadPool> pool)
-    : shard_(shard), pool_(std::move(pool)), prev_(tls_binding)
+void
+parallelForThreads(std::size_t threads, std::size_t n,
+                   const std::function<void(std::size_t)> &body)
+{
+    if (threads == 0) {
+        ShardedExecutorPool::shared()->parallelForSharded(n, body);
+        return;
+    }
+    // A 1-thread pool spawns no workers, so threads == 1 is the inline
+    // loop with the pool's exception contract.
+    ThreadPool(threads).parallelFor(n, body);
+}
+
+ShardBinding::ShardBinding(std::shared_ptr<ThreadPool> pool)
+    : pool_(std::move(pool)), prev_(tls_binding)
 {
     tls_binding = this;
 }
@@ -168,12 +180,6 @@ ShardBinding::ShardBinding(std::size_t shard,
 ShardBinding::~ShardBinding()
 {
     tls_binding = prev_;
-}
-
-std::size_t
-ShardBinding::currentShard()
-{
-    return tls_binding == nullptr ? npos : tls_binding->shard_;
 }
 
 const std::shared_ptr<ThreadPool> &

@@ -1,17 +1,24 @@
 /**
  * @file
- * Topology-aware sharding of the process-wide executor pool.
+ * The process-wide executor pool, sharded by topology.
  *
- * The flat ExecutorPool runs every task on one ThreadPool whose
- * workers migrate freely across sockets, so on multi-node hosts a
- * tile buffer allocated on node 0 is routinely consumed on node 1.
- * ShardedExecutorPool keeps one ThreadPool *per NUMA node* (a
- * "shard"), optionally pins each shard's workers to its node's CPUs,
- * and offers parallelForSharded() — a round-robin striping of loop
- * indices across shards so (corner, chip) and candidate sweeps spread
- * node-locally. Consumers that serve requests (InferenceService)
- * instead bind a thread to a shard with ShardBinding and run a whole
- * sub-batch there.
+ * One ThreadPool whose workers migrate freely across sockets would,
+ * on multi-node hosts, routinely consume a tile buffer allocated on
+ * node 0 from node 1. ShardedExecutorPool keeps one ThreadPool *per
+ * NUMA node* (a "shard"), optionally pins each shard's workers to its
+ * node's CPUs, and offers parallelForSharded() — a round-robin
+ * striping of loop indices across shards so (corner, chip) and
+ * candidate sweeps spread node-locally. Consumers that serve requests
+ * (InferenceService) instead bind a thread to a shard with
+ * ShardBinding and run a whole sub-batch there.
+ *
+ * **One parallelism rule.** Every `threads` setting in the library
+ * (TileExecutor, HardwareConfig/HardwarePlan, SweepOptions,
+ * ExploreOptions) means the same thing and is resolved once: 0 = the
+ * shared pool (shard 0 for a tile loop, all shards for a fan-out),
+ * 1 = inline on the calling thread, N = a private N-thread pool. The
+ * only reroute is ShardBinding: a threads = 0 tile loop on a bound
+ * thread runs on the bound shard.
  *
  * **Knobs** (resolved at first shared() call, warn-once on invalid,
  * re-read after reset()):
@@ -75,7 +82,9 @@ class ShardedExecutorPool
      * Drop the current shared instance so the next shared() re-reads
      * the environment and re-detects the topology. Holders of the old
      * instance (or of its shard pools) keep it alive until they let
-     * go; same caveats as ExecutorPool::reset().
+     * go. Thread-safe, but callers must not race reset() against
+     * executors *acquiring* a shard if they need those executors on
+     * the new instance.
      */
     static void reset();
 
@@ -109,32 +118,38 @@ class ShardedExecutorPool
 };
 
 /**
+ * The library's one fan-out policy: run body(i) for every i in [0, n)
+ * at concurrency @p threads — 0 stripes the indices across every
+ * shard of ShardedExecutorPool::shared() (parallelForSharded), 1 runs
+ * them inline on the calling thread, N > 1 runs them on a temporary
+ * private N-thread pool. A barrier with ThreadPool::parallelFor's
+ * exception contract at every setting: every index runs, the first
+ * exception rethrows.
+ */
+void parallelForThreads(std::size_t threads, std::size_t n,
+                        const std::function<void(std::size_t)> &body);
+
+/**
  * RAII thread-local binding of the current thread to one shard's
- * pool. While a binding is live, executors attached to the *shared*
- * pool route their loops to the bound pool instead — that is how an
- * InferenceService sub-batch or a parallelForSharded task keeps every
- * nested tile loop on its own node. Bindings nest (inner wins) and
- * are strictly per-thread; explicitly configured private pools and
- * threads==1 executors ignore them.
+ * pool. While a binding is live, executors constructed with
+ * threads = 0 route their loops to the bound pool instead of shard 0
+ * — that is how an InferenceService sub-batch or a parallelForSharded
+ * task keeps every nested tile loop on its own node. Bindings nest
+ * (inner wins) and are strictly per-thread; executors with a private
+ * pool (threads = N) or none (threads = 1) ignore them.
  */
 class ShardBinding
 {
   public:
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-    ShardBinding(std::size_t shard, std::shared_ptr<ThreadPool> pool);
+    explicit ShardBinding(std::shared_ptr<ThreadPool> pool);
     ~ShardBinding();
     ShardBinding(const ShardBinding &) = delete;
     ShardBinding &operator=(const ShardBinding &) = delete;
-
-    /** The current thread's bound shard index, or npos. */
-    static std::size_t currentShard();
 
     /** The current thread's bound pool, or nullptr when unbound. */
     static const std::shared_ptr<ThreadPool> &currentPool();
 
   private:
-    std::size_t shard_;
     std::shared_ptr<ThreadPool> pool_;
     ShardBinding *prev_;
 };

@@ -113,8 +113,7 @@ TEST(Faults, StuckCellsStopContributing)
     crossbar::CrossbarArray xbar(8, atten, 2.4);
     std::vector<std::vector<int>> w(8, std::vector<int>(8, 1));
     xbar.programWeights(w);
-    Rng rng(8);
-    const std::size_t stuck = xbar.injectStuckCells(1.0, rng);
+    const std::size_t stuck = xbar.injectStuckCellsSeeded(1.0, 8);
     EXPECT_EQ(stuck, 64u);
     EXPECT_EQ(xbar.columnSum(0, std::vector<int>(8, 1)), 0);
 }
@@ -125,8 +124,7 @@ TEST(Faults, FractionZeroInjectsNothing)
     crossbar::CrossbarArray xbar(8, atten, 2.4);
     std::vector<std::vector<int>> w(8, std::vector<int>(8, -1));
     xbar.programWeights(w);
-    Rng rng(9);
-    EXPECT_EQ(xbar.injectStuckCells(0.0, rng), 0u);
+    EXPECT_EQ(xbar.injectStuckCellsSeeded(0.0, 9), 0u);
     EXPECT_EQ(xbar.columnSum(3, std::vector<int>(8, 1)), -8);
 }
 
@@ -136,8 +134,7 @@ TEST(Faults, PartialFractionKnocksOutAboutThatMany)
     crossbar::CrossbarArray xbar(16, atten, 2.4);
     std::vector<std::vector<int>> w(16, std::vector<int>(16, 1));
     xbar.programWeights(w);
-    Rng rng(10);
-    const std::size_t stuck = xbar.injectStuckCells(0.25, rng);
+    const std::size_t stuck = xbar.injectStuckCellsSeeded(0.25, 10);
     EXPECT_GT(stuck, 256u / 8);
     EXPECT_LT(stuck, 256u / 2);
 }
@@ -242,8 +239,7 @@ TEST(Robustness, ModerateVariationDegradesGracefully)
     clean.mapMlp(mlp);
     core::HardwareEvaluator noisy(atten, {16, 8, 2.4});
     noisy.mapMlp(mlp);
-    Rng vrng(17);
-    const std::size_t stuck = noisy.injectVariation(0.1, 0.01, vrng);
+    const std::size_t stuck = noisy.injectVariationSeeded(0.1, 0.01, 17, 0);
     EXPECT_GT(stuck, 0u);
 
     Rng erng(18);

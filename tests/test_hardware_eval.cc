@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/hardware_eval.h"
 #include "core/trainer.h"
 #include "data/synthetic_mnist.h"
@@ -192,4 +194,53 @@ TEST(HardwareEvalConfig, StoredAndExposed)
     EXPECT_EQ(eval.config().window, 8u);
     EXPECT_DOUBLE_EQ(eval.config().deltaIinUa, 1.6);
     EXPECT_TRUE(eval.config().exactApc);
+}
+
+TEST(HardwareEvalInputCheck, WrongSizeMlpSampleThrows)
+{
+    // A checked error in every build, not an assert: unchecked, a
+    // short sample is read past its end.
+    Rng rng(14);
+    const aqfp::AttenuationModel atten;
+    const RandomizedMlp mlp(32, {16}, 4, AqfpBehavior{8, 2.4, 0.0}, atten,
+                            rng);
+    HardwareEvaluator eval(atten, {8, 4, 2.4, false, 0.25, 1, 8});
+    eval.mapMlp(mlp);
+    EXPECT_EQ(eval.inputSize(), 32u);
+
+    const std::vector<Tensor> batch = {Tensor::randn({1, 32}, rng),
+                                       Tensor::randn({1, 31}, rng)};
+    try {
+        eval.classScoresSeeded(batch, {1, 2});
+        ADD_FAILURE() << "a 31-element sample was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "HardwareEvaluator::classScoresSeeded: "
+                               "sample 1 has 31 elements, the mapped "
+                               "model's input size is 32");
+    }
+    Rng eval_rng(15);
+    EXPECT_THROW(eval.classScores(batch, eval_rng), std::invalid_argument);
+    EXPECT_THROW(eval.predict(Tensor::randn({1, 33}, rng), eval_rng),
+                 std::invalid_argument);
+    EXPECT_EQ(eval.imagesObserved(), 0u); // nothing was evaluated
+}
+
+TEST(HardwareEvalInputCheck, WrongSizeCnnSampleThrows)
+{
+    Rng rng(16);
+    const aqfp::AttenuationModel atten;
+    RandomizedCnn::Config ccfg;
+    ccfg.inputSide = 8;
+    ccfg.channels = {4};
+    ccfg.poolAfter = {true};
+    const RandomizedCnn cnn(ccfg, AqfpBehavior{16, 2.4, 0.0}, atten, rng);
+    HardwareEvaluator eval(atten, {16, 2, 2.4, false, 0.5, 1, 8});
+    eval.mapCnn(cnn);
+    EXPECT_EQ(eval.inputSize(), 3u * 8u * 8u);
+    Rng eval_rng(17);
+    EXPECT_THROW(eval.classScores(Tensor::randn({1, 3, 7, 7}, rng),
+                                  eval_rng),
+                 std::invalid_argument);
+    EXPECT_THROW(eval.predictSeeded({Tensor::randn({1, 2, 8, 8}, rng)}, {1}),
+                 std::invalid_argument);
 }

@@ -336,6 +336,52 @@ TEST(InferenceService, StopDrainsQueuedRequests)
     EXPECT_FALSE(service.trySubmit(flatSample(32, 0), 1).has_value());
 }
 
+TEST(InferenceService, WrongSizeSampleRejectedBeforeQueueing)
+{
+    // Queued, a malformed request would fail the megabatch of the
+    // good requests around it; admission must reject it alone.
+    const Plan plan = makePlan(6);
+    const auto eval = makeMlpEvaluator();
+    const auto expected = eval->classScoresSeeded(plan.samples, plan.seeds);
+    ServiceConfig cfg = quickConfig();
+    cfg.maxBatch = plan.samples.size(); // the good burst is one batch
+    cfg.maxLingerMicros = 500000;
+    InferenceService service(*eval, cfg);
+    std::vector<std::future<InferenceResponse>> futures;
+    for (std::size_t i = 0; i < plan.samples.size(); ++i) {
+        futures.push_back(service.submit(plan.samples[i], plan.seeds[i]));
+        if (i == 2) {
+            EXPECT_THROW(service.submit(flatSample(31, 0), 7),
+                         std::invalid_argument);
+            EXPECT_THROW(service.trySubmit(flatSample(33, 0), 8),
+                         std::invalid_argument);
+        }
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        const InferenceResponse r = futures[i].get();
+        EXPECT_EQ(r.scores, expected[i]) << "request " << i;
+        EXPECT_EQ(r.batchSize, plan.samples.size()) << "request " << i;
+    }
+    EXPECT_EQ(service.stats().accepted, plan.samples.size());
+}
+
+TEST(InferenceService, UnmappedEvaluatorReportsLogicError)
+{
+    // Every evaluation entry point reports the missing model instead
+    // of indexing an empty executor list.
+    const HardwareEvaluator eval(aqfp::AttenuationModel(),
+                                 HardwareConfig{8, 8, 2.4, false, 0.25, 1, 8});
+    EXPECT_THROW(eval.classScoresSeeded({flatSample(32, 0)}, {1}),
+                 std::logic_error);
+    Rng rng(3);
+    EXPECT_THROW(eval.predict(flatSample(32, 0), rng), std::logic_error);
+    data::Dataset dataset{Tensor(Shape{2, 32}), {0, 1}};
+    EXPECT_THROW(eval.evaluate(dataset, 0, rng), std::logic_error);
+    InferenceService service(eval, quickConfig());
+    EXPECT_THROW(service.submit(flatSample(32, 0), 1).get(),
+                 std::logic_error);
+}
+
 TEST(InferenceService, LedgerAttributionIsExactShare)
 {
     const auto eval = makeMlpEvaluator();

@@ -2,8 +2,9 @@
  * @file
  * Topology-aware sharded executor tests: cpulist parsing, topology
  * detection sanity, explicit shard/thread splits, the striped
- * parallelForSharded driver (full coverage, exception rethrow,
- * per-task ShardBinding), the SUPERBNN_NUMA / SUPERBNN_PIN /
+ * parallelForSharded driver and the parallelForThreads fan-out policy
+ * (full coverage, exception rethrow, per-task ShardBinding), the
+ * SUPERBNN_NUMA / SUPERBNN_PIN /
  * SUPERBNN_THREADS resolution point with warn-once fallbacks, and the
  * determinism contract the whole layer rests on: evaluator scores,
  * service responses, and the yield surface are bit-identical across
@@ -12,6 +13,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -24,10 +26,10 @@
 
 #include "core/hardware_eval.h"
 #include "core/scenario_sweep.h"
+#include "crossbar/tile_executor.h"
 #include "serve/inference_service.h"
 #include "util/cpu_topology.h"
 #include "util/env.h"
-#include "util/executor_pool.h"
 #include "util/sharded_executor_pool.h"
 #include "yield_surface_util.h"
 
@@ -211,44 +213,66 @@ TEST(ShardedExecutorPoolTest, ExplicitSplitSpreadsThreadsEvenly)
     EXPECT_EQ(one.shardCount(), 1u);
 }
 
+namespace {
+
+/// The loop drivers under test: kStriped = the explicit pool's
+/// parallelForSharded; otherwise parallelForThreads at that count.
+constexpr std::size_t kStriped = ~std::size_t{0};
+constexpr std::size_t kDrivers[] = {kStriped, 0, 1, 3};
+
+void
+runLoop(ShardedExecutorPool &pool, std::size_t threads, std::size_t n,
+        const std::function<void(std::size_t)> &body)
+{
+    if (threads == kStriped)
+        pool.parallelForSharded(n, body);
+    else
+        parallelForThreads(threads, n, body);
+}
+
+} // namespace
+
 TEST(ShardedExecutorPoolTest, ParallelForShardedRunsEveryIndexOnce)
 {
     ShardedExecutorPool pool(3, 6, false, CpuTopology::detect());
-    for (const std::size_t n : {0UL, 1UL, 2UL, 3UL, 101UL}) {
-        std::vector<std::atomic<int>> hits(n == 0 ? 1 : n);
-        for (auto &h : hits)
-            h.store(0);
-        pool.parallelForSharded(n, [&](std::size_t i) {
-            hits[i].fetch_add(1);
-        });
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << n;
+    for (const std::size_t threads : kDrivers) {
+        for (const std::size_t n : {0UL, 1UL, 2UL, 3UL, 101UL}) {
+            std::vector<std::atomic<int>> hits(n == 0 ? 1 : n);
+            for (auto &h : hits)
+                h.store(0);
+            runLoop(pool, threads, n,
+                    [&](std::size_t i) { hits[i].fetch_add(1); });
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(hits[i].load(), 1) << "threads " << threads
+                                             << " index " << i << " of " << n;
+        }
     }
 }
 
 TEST(ShardedExecutorPoolTest, ParallelForShardedRethrowsAndCompletes)
 {
     ShardedExecutorPool pool(2, 4, false, CpuTopology::detect());
-    std::vector<std::atomic<int>> hits(64);
-    for (auto &h : hits)
-        h.store(0);
-    EXPECT_THROW(pool.parallelForSharded(64,
-                                         [&](std::size_t i) {
-                                             hits[i].fetch_add(1);
-                                             if (i == 17)
-                                                 throw std::runtime_error(
-                                                     "boom");
-                                         }),
-                 std::runtime_error);
-    // Same contract as ThreadPool::parallelFor: the barrier holds and
-    // every index still ran exactly once.
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    for (const std::size_t threads : kDrivers) {
+        std::vector<std::atomic<int>> hits(64);
+        for (auto &h : hits)
+            h.store(0);
+        EXPECT_THROW(runLoop(pool, threads, 64,
+                             [&](std::size_t i) {
+                                 hits[i].fetch_add(1);
+                                 if (i == 17)
+                                     throw std::runtime_error("boom");
+                             }),
+                     std::runtime_error);
+        // Same contract as ThreadPool::parallelFor: the barrier holds
+        // and every index still ran exactly once.
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            EXPECT_EQ(hits[i].load(), 1)
+                << "threads " << threads << " index " << i;
+    }
 }
 
 TEST(ShardedExecutorPoolTest, TasksSeeTheirShardBinding)
 {
-    EXPECT_EQ(ShardBinding::currentShard(), ShardBinding::npos);
     EXPECT_EQ(ShardBinding::currentPool(), nullptr);
 
     ShardedExecutorPool pool(3, 3, false, CpuTopology::detect());
@@ -258,32 +282,28 @@ TEST(ShardedExecutorPoolTest, TasksSeeTheirShardBinding)
     pool.parallelForSharded(30, [&](std::size_t i) {
         // Index i is striped to shard i mod k, and the binding routes
         // nested shared-pool work to that shard's own pool.
-        if (ShardBinding::currentShard() != i % k)
-            bad[0].fetch_add(1);
         if (ShardBinding::currentPool().get() != pool.shard(i % k).get())
             bad[0].fetch_add(1);
     });
     EXPECT_EQ(bad[0].load(), 0);
-    EXPECT_EQ(ShardBinding::currentShard(), ShardBinding::npos);
+    EXPECT_EQ(ShardBinding::currentPool(), nullptr);
 }
 
 TEST(ShardedExecutorPoolTest, ShardBindingsNestInnerWins)
 {
     ShardedExecutorPool pool(2, 2, false, CpuTopology::detect());
     {
-        const ShardBinding outer(0, pool.shard(0));
-        EXPECT_EQ(ShardBinding::currentShard(), 0u);
+        const ShardBinding outer(pool.shard(0));
+        EXPECT_EQ(ShardBinding::currentPool().get(), pool.shard(0).get());
         {
-            const ShardBinding inner(1, pool.shard(1));
-            EXPECT_EQ(ShardBinding::currentShard(), 1u);
+            const ShardBinding inner(pool.shard(1));
             EXPECT_EQ(ShardBinding::currentPool().get(),
                       pool.shard(1).get());
         }
-        EXPECT_EQ(ShardBinding::currentShard(), 0u);
         EXPECT_EQ(ShardBinding::currentPool().get(),
                   pool.shard(0).get());
     }
-    EXPECT_EQ(ShardBinding::currentShard(), ShardBinding::npos);
+    EXPECT_EQ(ShardBinding::currentPool(), nullptr);
 }
 
 TEST(ShardedExecutorPoolTest, PinnedPoolStillComputes)
@@ -308,8 +328,9 @@ TEST_F(ShardedPoolEnvTest, NumaOffForcesOneShard)
     const auto pool = ShardedExecutorPool::shared();
     EXPECT_EQ(pool->shardCount(), 1u);
     EXPECT_EQ(pool->threadCount(), 4u);
-    // The flat facade hands out shard 0 of the same instance.
-    EXPECT_EQ(ExecutorPool::shared().get(), pool->shard(0).get());
+    // A shared-pool executor runs on shard 0 of the same instance.
+    EXPECT_EQ(crossbar::TileExecutor(8).threads(),
+              pool->shard(0)->threadCount());
 }
 
 TEST_F(ShardedPoolEnvTest, NumaAutoFollowsDetectedTopology)

@@ -453,7 +453,7 @@ TEST(SimdCrossbar, WeightCacheTracksStuckCells)
         for (auto &w : row)
             w = rng.bernoulli(0.5) ? 1 : -1;
     xbar.programWeights(weights);
-    ASSERT_GT(xbar.injectStuckCells(0.3, rng), 0u);
+    ASSERT_GT(xbar.injectStuckCellsSeeded(0.3, 89), 0u);
     std::vector<int> acts(cs);
     for (auto &a : acts)
         a = rng.bernoulli(0.5) ? 1 : -1;

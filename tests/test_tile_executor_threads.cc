@@ -2,7 +2,7 @@
  * @file
  * Tests for the threaded, batched tile-execution path: the thread pool
  * itself (including cross-pool nesting and the chunked scheduler), the
- * process-wide ExecutorPool and its SUPERBNN_THREADS resolution point,
+ * process-wide shared pool and its SUPERBNN_THREADS resolution point,
  * the BitstreamBatch packing, the counter-based batched crossbar
  * observe, and the executor's two exactness contracts — bit-identical
  * outputs at any thread count, and batch-of-N identical to N
@@ -27,7 +27,7 @@
 #include "nn/sequential.h"
 #include "sc/accumulation.h"
 #include "sc/bitstream_batch.h"
-#include "util/executor_pool.h"
+#include "util/sharded_executor_pool.h"
 #include "util/thread_pool.h"
 
 using namespace superbnn;
@@ -201,48 +201,54 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnv)
     EXPECT_GE(util::ThreadPool::defaultThreadCount(), 1u);
 }
 
-// --- process-wide executor pool ---
+// --- process-wide executor pool (threads = 0 runs on shard 0; NUMA
+// off gives shard 0 the whole SUPERBNN_THREADS budget on any host) ---
 
 TEST(ExecutorPoolTest, SharedPoolIsProcessWideAndPinnedAtFirstUse)
 {
+    setenv("SUPERBNN_NUMA", "off", 1);
     setenv("SUPERBNN_THREADS", "3", 1);
-    util::ExecutorPool::reset();
-    const auto a = util::ExecutorPool::shared();
-    const auto b = util::ExecutorPool::shared();
+    util::ShardedExecutorPool::reset();
+    const auto a = util::ShardedExecutorPool::shared();
+    const auto b = util::ShardedExecutorPool::shared();
     EXPECT_EQ(a.get(), b.get()); // one pool for the whole process
-    EXPECT_EQ(a->threadCount(), 3u);
+    EXPECT_EQ(a->shard(0)->threadCount(), 3u);
 
     // Resolution point: SUPERBNN_THREADS was read when the pool was
     // first created; changing it afterwards is ignored...
     setenv("SUPERBNN_THREADS", "5", 1);
-    EXPECT_EQ(util::ExecutorPool::shared()->threadCount(), 3u);
-    // ...including by executors attaching later with threads == 0.
-    TileExecutor exec(8);
+    EXPECT_EQ(util::ShardedExecutorPool::shared()->shard(0)->threadCount(),
+              3u);
+    // ...including by executors constructed later with threads == 0.
+    const TileExecutor exec(8);
     EXPECT_EQ(exec.threads(), 3u);
 
     // reset() drops the pool; the next shared() re-reads the
-    // environment. Executors holding the old pool keep it until they
-    // are reconfigured.
-    util::ExecutorPool::reset();
-    EXPECT_EQ(util::ExecutorPool::shared()->threadCount(), 5u);
+    // environment. An executor keeps the pool it resolved at
+    // construction; a new one picks up the new pool.
+    util::ShardedExecutorPool::reset();
+    EXPECT_EQ(util::ShardedExecutorPool::shared()->shard(0)->threadCount(),
+              5u);
     EXPECT_EQ(exec.threads(), 3u);
-    exec.setThreads(0);
-    EXPECT_EQ(exec.threads(), 5u);
+    EXPECT_EQ(TileExecutor(8).threads(), 5u);
 
     unsetenv("SUPERBNN_THREADS");
-    util::ExecutorPool::reset();
+    unsetenv("SUPERBNN_NUMA");
+    util::ShardedExecutorPool::reset();
 }
 
 TEST(ExecutorPoolTest, ExplicitThreadCountsBypassTheSharedPool)
 {
+    setenv("SUPERBNN_NUMA", "off", 1);
     setenv("SUPERBNN_THREADS", "3", 1);
-    util::ExecutorPool::reset();
-    TileExecutor exec(8, false, 0.25, 4);
+    util::ShardedExecutorPool::reset();
+    const TileExecutor exec(8, false, 0.25, 4);
     EXPECT_EQ(exec.threads(), 4u); // private pool, env ignored
-    exec.setThreads(1);
-    EXPECT_EQ(exec.threads(), 1u); // sequential, no pool at all
+    const TileExecutor sequential(8, false, 0.25, 1);
+    EXPECT_EQ(sequential.threads(), 1u); // sequential, no pool at all
     unsetenv("SUPERBNN_THREADS");
-    util::ExecutorPool::reset();
+    unsetenv("SUPERBNN_NUMA");
+    util::ShardedExecutorPool::reset();
 }
 
 TEST(ExecutorPoolTest, SharedPoolRunsExecutorsCorrectly)
@@ -250,20 +256,22 @@ TEST(ExecutorPoolTest, SharedPoolRunsExecutorsCorrectly)
     // A forward through the shared pool must match the sequential
     // reference bit for bit (the thread-count invariance contract,
     // exercised specifically on the default shared-pool path).
+    setenv("SUPERBNN_NUMA", "off", 1);
     setenv("SUPERBNN_THREADS", "4", 1);
-    util::ExecutorPool::reset();
+    util::ShardedExecutorPool::reset();
     Rng setup(47);
     const MappedLayer layer = makeLayer(setup);
     const std::vector<int> acts = randomActs(24, setup);
-    TileExecutor exec(16, false, 0.25, 1);
+    const TileExecutor sequential(16, false, 0.25, 1);
     Rng ref_rng(55);
-    const auto ref = exec.forward(layer, acts, ref_rng);
-    exec.setThreads(0); // attach to the 4-thread shared pool
-    ASSERT_EQ(exec.threads(), 4u);
+    const auto ref = sequential.forward(layer, acts, ref_rng);
+    const TileExecutor shared(16, false, 0.25, 0); // 4-thread shard 0
+    ASSERT_EQ(shared.threads(), 4u);
     Rng rng(55);
-    EXPECT_EQ(exec.forward(layer, acts, rng), ref);
+    EXPECT_EQ(shared.forward(layer, acts, rng), ref);
     unsetenv("SUPERBNN_THREADS");
-    util::ExecutorPool::reset();
+    unsetenv("SUPERBNN_NUMA");
+    util::ShardedExecutorPool::reset();
 }
 
 // --- BitstreamBatch ---
@@ -437,15 +445,15 @@ TEST(ThreadedExecutorTest, BitExactAcrossThreadCounts)
     const MappedLayer layer = makeLayer(setup);
     const std::vector<int> acts = randomActs(24, setup);
 
-    TileExecutor exec(16, false, 0.5, 1);
+    const TileExecutor sequential(16, false, 0.5, 1);
     Rng rng_seq(123);
-    const std::vector<int> ref = exec.forward(layer, acts, rng_seq);
+    const std::vector<int> ref = sequential.forward(layer, acts, rng_seq);
     Rng dec_seq(321);
     const std::vector<double> ref_dec =
-        exec.forwardDecoded(layer, acts, dec_seq);
+        sequential.forwardDecoded(layer, acts, dec_seq);
 
     for (const std::size_t threads : {2u, 8u}) {
-        exec.setThreads(threads);
+        const TileExecutor exec(16, false, 0.5, threads);
         EXPECT_EQ(exec.threads(), threads);
         Rng rng(123);
         EXPECT_EQ(exec.forward(layer, acts, rng), ref)
@@ -506,15 +514,30 @@ TEST(ThreadedExecutorTest, BatchResultIndependentOfThreadCount)
     for (int b = 0; b < 6; ++b)
         batch.push_back(randomActs(24, setup));
 
-    TileExecutor exec(16, false, 0.5, 1);
+    const TileExecutor sequential(16, false, 0.5, 1);
     Rng ref_rng(7);
-    const auto ref = exec.forward(layer, batch, ref_rng);
+    const auto ref = sequential.forward(layer, batch, ref_rng);
     for (const std::size_t threads : {2u, 8u}) {
-        exec.setThreads(threads);
+        const TileExecutor exec(16, false, 0.5, threads);
         Rng rng(7);
         EXPECT_EQ(exec.forward(layer, batch, rng), ref)
             << threads << " threads";
     }
+}
+
+TEST(ThreadedExecutorTest, WrongSizeSampleThrowsInEveryBuild)
+{
+    // A checked error in every build, not an assert: unchecked, the
+    // short sample's activation vector is read past its end.
+    Rng setup(49);
+    const MappedLayer layer = makeLayer(setup);
+    const TileExecutor exec(8, false, 0.25, 1);
+    const std::vector<std::vector<int>> batch = {randomActs(24, setup),
+                                                 randomActs(23, setup)};
+    EXPECT_THROW(exec.forwardSeeded(layer, batch, {1, 2}),
+                 std::invalid_argument);
+    EXPECT_THROW(exec.forwardDecodedSeeded(layer, batch, {1, 2}),
+                 std::invalid_argument);
 }
 
 TEST(ThreadedExecutorTest, EmptyBatchIsANoOp)
@@ -610,36 +633,30 @@ TEST(NnForwardBatchTest, SequentialBatchMatchesPerSample)
 TEST(ThreadedExecutorTest, LedgerTotalsSurviveThreadReconfiguration)
 {
     // The hardware ledger must report identical totals through every
-    // concurrency path one executor can be switched between —
-    // sequential, a private pool, and the process-wide shared pool.
+    // concurrency path an executor can be built with — sequential, a
+    // private pool, and the process-wide shared pool.
     Rng setup(48);
     const MappedLayer layer = makeLayer(setup);
     std::vector<std::vector<int>> batch;
     for (int b = 0; b < 5; ++b)
         batch.push_back(randomActs(24, setup));
 
-    TileExecutor exec(16, false, 0.25, 1);
     aqfp::LedgerCounts ref;
     {
+        const TileExecutor sequential(16, false, 0.25, 1);
         aqfp::HardwareLedger ledger;
         Rng rng(12);
-        exec.forward(layer, batch, rng, &ledger);
+        sequential.forward(layer, batch, rng, &ledger);
         ref = ledger.totals();
         EXPECT_EQ(ref.samples, 5u);
     }
-    exec.setThreads(3);
-    {
+    // A private pool, then shard 0 of the shared pool.
+    for (const std::size_t threads : {3u, 0u}) {
+        const TileExecutor exec(16, false, 0.25, threads);
         aqfp::HardwareLedger ledger;
         Rng rng(12);
         exec.forward(layer, batch, rng, &ledger);
-        EXPECT_EQ(ledger.totals(), ref);
-    }
-    exec.setThreads(0); // shared ExecutorPool
-    {
-        aqfp::HardwareLedger ledger;
-        Rng rng(12);
-        exec.forward(layer, batch, rng, &ledger);
-        EXPECT_EQ(ledger.totals(), ref);
+        EXPECT_EQ(ledger.totals(), ref) << threads << " threads";
     }
 }
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
-#include <mutex>
 
 namespace superbnn::aqfp {
 
@@ -62,16 +61,7 @@ operator!=(const LedgerCounts &a, const LedgerCounts &b)
 void
 HardwareLedger::reset()
 {
-    const std::unique_lock<std::shared_mutex> lock(gridMutex_);
-    rows_ = 0;
-    cols_ = 0;
-    grid.clear();
-    samples_.store(0, std::memory_order_relaxed);
-    apcAccumulations_.store(0, std::memory_order_relaxed);
-    apcInputBits_.store(0, std::memory_order_relaxed);
-    columnGroupSteps_.store(0, std::memory_order_relaxed);
-    bufferReadBits_.store(0, std::memory_order_relaxed);
-    bufferWriteBits_.store(0, std::memory_order_relaxed);
+    *this = HardwareLedger();
 }
 
 void
@@ -79,47 +69,27 @@ HardwareLedger::beginForward(std::size_t row_tiles, std::size_t col_tiles,
                              std::size_t samples)
 {
     assert(row_tiles >= 1 && col_tiles >= 1);
-    const std::unique_lock<std::shared_mutex> lock(gridMutex_);
     const std::size_t new_rows = std::max(rows_, row_tiles);
     const std::size_t new_cols = std::max(cols_, col_tiles);
     if (new_rows != rows_ || new_cols != cols_) {
         // Remap the old grid coordinate-wise into the union extents.
-        // The exclusive lock holds off every concurrent recordTile/
-        // totals while slots move.
-        std::vector<AtomicTileCounts> next(new_rows * new_cols);
+        std::vector<TileCounts> next(new_rows * new_cols);
         for (std::size_t rt = 0; rt < rows_; ++rt)
-            for (std::size_t ct = 0; ct < cols_; ++ct) {
-                const AtomicTileCounts &from = grid[rt * cols_ + ct];
-                AtomicTileCounts &to = next[rt * new_cols + ct];
-                to.observations.store(
-                    from.observations.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-                to.cycles.store(
-                    from.cycles.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-                to.bernoulliDraws.store(
-                    from.bernoulliDraws.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-            }
+            for (std::size_t ct = 0; ct < cols_; ++ct)
+                next[rt * new_cols + ct] = grid[rt * cols_ + ct];
         grid = std::move(next);
         rows_ = new_rows;
         cols_ = new_cols;
     }
-    samples_.fetch_add(samples, std::memory_order_relaxed);
+    counters.samples += samples;
 }
 
 void
 HardwareLedger::recordTile(std::size_t rt, std::size_t ct,
                            const TileCounts &counts)
 {
-    const std::shared_lock<std::shared_mutex> lock(gridMutex_);
     assert(rt < rows_ && ct < cols_);
-    AtomicTileCounts &slot = grid[rt * cols_ + ct];
-    slot.observations.fetch_add(counts.observations,
-                                std::memory_order_relaxed);
-    slot.cycles.fetch_add(counts.cycles, std::memory_order_relaxed);
-    slot.bernoulliDraws.fetch_add(counts.bernoulliDraws,
-                                  std::memory_order_relaxed);
+    grid[rt * cols_ + ct] += counts;
 }
 
 void
@@ -127,70 +97,37 @@ HardwareLedger::recordMerge(std::uint64_t accumulations,
                             std::uint64_t input_bits,
                             std::uint64_t group_steps)
 {
-    apcAccumulations_.fetch_add(accumulations, std::memory_order_relaxed);
-    apcInputBits_.fetch_add(input_bits, std::memory_order_relaxed);
-    columnGroupSteps_.fetch_add(group_steps, std::memory_order_relaxed);
+    counters.apcAccumulations += accumulations;
+    counters.apcInputBits += input_bits;
+    counters.columnGroupSteps += group_steps;
 }
 
 void
 HardwareLedger::recordBuffer(std::uint64_t read_bits,
                              std::uint64_t write_bits)
 {
-    bufferReadBits_.fetch_add(read_bits, std::memory_order_relaxed);
-    bufferWriteBits_.fetch_add(write_bits, std::memory_order_relaxed);
+    counters.bufferReadBits += read_bits;
+    counters.bufferWriteBits += write_bits;
 }
 
 LedgerCounts
 HardwareLedger::totals() const
 {
-    LedgerCounts t;
-    const std::shared_lock<std::shared_mutex> lock(gridMutex_);
-    for (const AtomicTileCounts &tc : grid) {
-        t.tileObservations +=
-            tc.observations.load(std::memory_order_relaxed);
-        t.crossbarCycles += tc.cycles.load(std::memory_order_relaxed);
-        t.bernoulliDraws +=
-            tc.bernoulliDraws.load(std::memory_order_relaxed);
+    LedgerCounts t = counters;
+    for (const TileCounts &tc : grid) {
+        t.tileObservations += tc.observations;
+        t.crossbarCycles += tc.cycles;
+        t.bernoulliDraws += tc.bernoulliDraws;
     }
-    t.samples = samples_.load(std::memory_order_relaxed);
-    t.apcAccumulations =
-        apcAccumulations_.load(std::memory_order_relaxed);
-    t.apcInputBits = apcInputBits_.load(std::memory_order_relaxed);
-    t.columnGroupSteps =
-        columnGroupSteps_.load(std::memory_order_relaxed);
-    t.bufferReadBits = bufferReadBits_.load(std::memory_order_relaxed);
-    t.bufferWriteBits = bufferWriteBits_.load(std::memory_order_relaxed);
     return t;
-}
-
-std::size_t
-HardwareLedger::rowTiles() const
-{
-    const std::shared_lock<std::shared_mutex> lock(gridMutex_);
-    return rows_;
-}
-
-std::size_t
-HardwareLedger::colTiles() const
-{
-    const std::shared_lock<std::shared_mutex> lock(gridMutex_);
-    return cols_;
 }
 
 TileCounts
 HardwareLedger::tile(std::size_t rt, std::size_t ct) const
 {
-    const std::shared_lock<std::shared_mutex> lock(gridMutex_);
     if (rt >= rows_ || ct >= cols_)
         return {};
-    const AtomicTileCounts &slot = grid[rt * cols_ + ct];
-    TileCounts counts;
-    counts.observations =
-        slot.observations.load(std::memory_order_relaxed);
-    counts.cycles = slot.cycles.load(std::memory_order_relaxed);
-    counts.bernoulliDraws =
-        slot.bernoulliDraws.load(std::memory_order_relaxed);
-    return counts;
+    return grid[rt * cols_ + ct];
 }
 
 std::string

@@ -15,30 +15,25 @@
  * test layer (tests/test_energy_ledger.cc) reconciles the two models
  * per layer.
  *
- * Determinism contract: every count is a sum of per-task integer
- * contributions that depend only on (layer geometry, batch size,
- * window) — never on values, scheduling, thread count, SIMD arm or
- * batch split — so ledger totals are bit-identical across
- * SUPERBNN_THREADS, every SUPERBNN_SIMD arm, and batch-of-N vs N
- * singles. Thread safety: per-tile slots are relaxed atomics and the
- * shared counters are relaxed atomics (integer addition commutes, so
- * the totals do not depend on arrival order); the tile grid itself is
- * guarded by a shared_mutex so concurrent *forwards* on one ledger —
- * the sharded InferenceService runs one sub-batch per NUMA shard
- * against the same evaluator — are safe even when beginForward() has
- * to grow the grid while another shard is mid-record. Snapshots
- * (totals()) taken while a forward is in flight see a consistent grid
- * but an arbitrary prefix of its counts; callers wanting exact deltas
- * must quiesce first (see InferenceService's snapshot window).
+ * Determinism contract: every count is a sum of integer contributions
+ * that depend only on (layer geometry, batch size, window) — never on
+ * values, scheduling, thread count, SIMD arm or batch split — so ledger
+ * totals are bit-identical across SUPERBNN_THREADS, every SUPERBNN_SIMD
+ * arm, and batch-of-N vs N singles.
+ *
+ * Thread safety: a ledger is a plain single-writer value. The executor
+ * never records from inside a parallel task — observe tasks fill
+ * per-tile slots of their own and the calling thread records them after
+ * the barrier — so a ledger needs no synchronization of its own.
+ * Concurrent evaluations each record into call-local ledgers and merge
+ * the totals under their owner's lock (see core::HardwareEvaluator).
  */
 
 #ifndef SUPERBNN_AQFP_LEDGER_H
 #define SUPERBNN_AQFP_LEDGER_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -87,85 +82,61 @@ bool operator==(const LedgerCounts &a, const LedgerCounts &b);
 bool operator!=(const LedgerCounts &a, const LedgerCounts &b);
 
 /**
- * Thread-safe activity accumulator one executor forward (or many —
+ * Single-writer activity accumulator one executor forward (or many —
  * counts accumulate until reset()) reports into.
  *
- * Usage: pass a ledger to TileExecutor::forward/forwardDecoded. The
- * executor calls beginForward() before its parallel phases (growing the
- * per-tile grid to the layer's tiling), each tile-observe task calls
- * recordTile() on its own (rt, ct) slot, and each merge task calls
- * recordMerge(). A ledger reused across layers of different geometry
- * accumulates per-tile counts coordinate-wise over the union grid.
+ * Usage: pass a ledger to TileExecutor::forward/forwardDecoded. After
+ * each parallel phase the executor's calling thread announces the pass
+ * with beginForward() (growing the per-tile grid to the layer's
+ * tiling), records every tile's activity with recordTile(), and the
+ * phase's merge and buffer activity with recordMerge()/recordBuffer().
+ * A ledger reused across layers of different geometry accumulates
+ * per-tile counts coordinate-wise over the union grid.
  */
 class HardwareLedger
 {
   public:
-    HardwareLedger() = default;
-    HardwareLedger(const HardwareLedger &) = delete;
-    HardwareLedger &operator=(const HardwareLedger &) = delete;
-
     /** Zero every counter and drop the tile grid. */
     void reset();
 
     /**
      * Announce a forward pass of @p samples samples over a
      * row_tiles x col_tiles tiling. Grows the tile grid (preserving
-     * coordinates) and counts the samples. Thread-safe: takes the
-     * grid lock exclusively, so a concurrent forward's recordTile()
-     * calls wait out the (rare) remap instead of racing it.
+     * coordinates) and counts the samples.
      */
     void beginForward(std::size_t row_tiles, std::size_t col_tiles,
                       std::size_t samples);
 
-    /**
-     * Add one tile's observed activity. Thread-safe for any mix of
-     * slots and concurrent forwards — slot counters are relaxed
-     * atomics, so contributions commute and totals stay exact.
-     */
+    /** Add one tile's observed activity (inside the announced grid). */
     void recordTile(std::size_t rt, std::size_t ct,
                     const TileCounts &counts);
 
-    /** Add merge-phase activity (thread-safe, relaxed atomics). */
+    /** Add merge-phase activity. */
     void recordMerge(std::uint64_t accumulations,
                      std::uint64_t input_bits,
                      std::uint64_t group_steps);
 
-    /** Add buffer traffic (thread-safe, relaxed atomics). */
+    /** Add buffer traffic. */
     void recordBuffer(std::uint64_t read_bits, std::uint64_t write_bits);
 
-    /** Snapshot of the totals (call outside parallel phases). */
+    /** The totals so far. */
     LedgerCounts totals() const;
 
     /** Tile-grid extents seen so far. */
-    std::size_t rowTiles() const;
-    std::size_t colTiles() const;
+    std::size_t rowTiles() const { return rows_; }
+    std::size_t colTiles() const { return cols_; }
 
     /** Per-tile counts (zero for never-touched coordinates). */
     TileCounts tile(std::size_t rt, std::size_t ct) const;
 
   private:
-    /** One grid slot; relaxed atomics so concurrent forwards commute. */
-    struct AtomicTileCounts
-    {
-        std::atomic<std::uint64_t> observations{0};
-        std::atomic<std::uint64_t> cycles{0};
-        std::atomic<std::uint64_t> bernoulliDraws{0};
-    };
-
-    /// Guards grid extents/storage: exclusive in reset()/beginForward()
-    /// remaps, shared everywhere else.
-    mutable std::shared_mutex gridMutex_;
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     /// Row-major rows_ x cols_ grid; slot (rt, ct) at rt * cols_ + ct.
-    std::vector<AtomicTileCounts> grid;
-
-    std::atomic<std::uint64_t> samples_{0};
-    std::atomic<std::uint64_t> apcAccumulations_{0};
-    std::atomic<std::uint64_t> apcInputBits_{0};
-    std::atomic<std::uint64_t> columnGroupSteps_{0};
-    std::atomic<std::uint64_t> bufferReadBits_{0};
-    std::atomic<std::uint64_t> bufferWriteBits_{0};
+    std::vector<TileCounts> grid;
+    /// Everything but the per-tile fields, which totals() sums from
+    /// the grid.
+    LedgerCounts counters;
 };
 
 /**

@@ -22,8 +22,9 @@ foldBatchNorm(const nn::BatchNorm &bn, const Tensor &alpha)
         const double beta = bn.beta().value[c];
         const double mu = bn.runningMean()[c];
         const double sd = std::sqrt(bn.runningVar()[c] + bn.eps());
+        // A zero alpha (or a NaN weight or statistic) yields a
+        // non-finite vth, which CrossbarMapper::setThresholds rejects.
         const double a = alpha[c];
-        assert(a != 0.0);
         double g = gamma;
         // Degenerate slope: fall back to the sign of beta alone (the BN
         // output is the constant beta).

@@ -47,6 +47,19 @@ modelCacheKey(const std::string &tag, const std::string &layer,
     return tag + "/" + layer + buf;
 }
 
+/** setThresholds, naming mapped layer @p name in any error. */
+void
+installThresholds(crossbar::MappedLayer &layer,
+                  const std::vector<double> &vth, const std::string &name)
+{
+    try {
+        crossbar::CrossbarMapper::setThresholds(layer, vth);
+    } catch (const std::invalid_argument &e) {
+        throw std::invalid_argument("HardwareEvaluator: layer " + name
+                                    + ": " + e.what());
+    }
+}
+
 /** Per-sample argmax of a batch of class scores. */
 std::vector<std::size_t>
 argmaxEach(const std::vector<std::vector<double>> &scores)
@@ -125,7 +138,9 @@ HardwareEvaluator::mapMlp(const RandomizedMlp &model,
                           crossbar::ProgrammedModelCache *cache,
                           const std::string &tag)
 {
-    kind = Kind::Mlp;
+    // Unmapped until the last layer is in: a mapping that throws leaves
+    // an evaluator every entry point rejects.
+    kind = Kind::None;
     mapped.clear();
     resolvePlan(model.cells().size() + 1);
     // Each cell is mapped at ITS OWN plan entry's (Cs, deltaIin). With
@@ -153,10 +168,11 @@ HardwareEvaluator::mapMlp(const RandomizedMlp &model,
         MappedCell mc;
         const FoldedBn folded =
             foldBatchNorm(*cell.bn, cell.linear->alpha().value);
-        mc.layer = mapLayer(li, "fc" + std::to_string(li + 1), [&]() {
+        const std::string name = "fc" + std::to_string(li + 1);
+        mc.layer = mapLayer(li, name, [&]() {
             crossbar::MappedLayer layer =
                 mapper.map(cell.linear->signedWeights());
-            crossbar::CrossbarMapper::setThresholds(layer, folded.vth);
+            installThresholds(layer, folded.vth, name);
             return layer;
         });
         mc.flip = folded.flip;
@@ -171,13 +187,14 @@ HardwareEvaluator::mapMlp(const RandomizedMlp &model,
     headAlpha.assign(head.alpha().value.data(),
                      head.alpha().value.data()
                          + head.alpha().value.size());
-    initLedgers();
+    kind = Kind::Mlp;
+    resetLedgers();
 }
 
 void
 HardwareEvaluator::mapCnn(const RandomizedCnn &model)
 {
-    kind = Kind::Cnn;
+    kind = Kind::None; // until the last layer is in (see mapMlp)
     mapped.clear();
     resolvePlan(model.cells().size() + 1);
     std::size_t side = model.config().inputSide;
@@ -191,7 +208,8 @@ HardwareEvaluator::mapCnn(const RandomizedCnn &model)
         mc.layer = mapper.map(cell.conv->signedWeightMatrix());
         const FoldedBn folded =
             foldBatchNorm(*cell.bn, cell.conv->alpha().value);
-        crossbar::CrossbarMapper::setThresholds(mc.layer, folded.vth);
+        installThresholds(mc.layer, folded.vth,
+                          "conv" + std::to_string(li + 1));
         mc.flip = folded.flip;
         mc.inChannels = in_ch;
         mc.inSide = side;
@@ -210,24 +228,23 @@ HardwareEvaluator::mapCnn(const RandomizedCnn &model)
     headAlpha.assign(head.alpha().value.data(),
                      head.alpha().value.data()
                          + head.alpha().value.size());
-    initLedgers();
-}
-
-void
-HardwareEvaluator::initLedgers()
-{
-    ledgers.clear();
-    for (std::size_t i = 0; i < mapped.size() + 1; ++i)
-        ledgers.emplace_back();
-    images_.store(0, std::memory_order_relaxed);
+    kind = Kind::Cnn;
+    resetLedgers();
 }
 
 void
 HardwareEvaluator::resetLedgers()
 {
-    for (auto &l : ledgers)
-        l.reset();
-    images_.store(0, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(countsMutex_);
+    counts_.assign(mapped.size() + 1, {});
+    images_ = 0;
+}
+
+std::uint64_t
+HardwareEvaluator::imagesObserved() const
+{
+    const std::lock_guard<std::mutex> lock(countsMutex_);
+    return images_;
 }
 
 aqfp::LayerSpec
@@ -255,23 +272,21 @@ HardwareEvaluator::energyReports(double frequency_ghz) const
     if (kind == Kind::None)
         throw std::logic_error(
             "HardwareEvaluator::energyReports: map a model first");
-    // With no images observed there is nothing to normalize per image:
-    // emit flagged placeholder measurements instead of dividing the
-    // (all-zero) counts by zero.
-    const std::uint64_t images = imagesObserved();
+    // Counts and image count from the same set of whole calls.
+    const std::lock_guard<std::mutex> lock(countsMutex_);
 
     const aqfp::EnergyModel model;
     // The analytic memory term sizes the buffer for the widest
-    // activation of the whole mapped network; price the ledgers
+    // activation of the whole mapped network; price the counts
     // against the same hardware.
     aqfp::WorkloadSpec mapped_spec;
-    for (std::size_t i = 0; i < ledgers.size(); ++i)
+    for (std::size_t i = 0; i < counts_.size(); ++i)
         mapped_spec.layers.push_back(layerSpec(i));
     const std::size_t max_act_bits = mapped_spec.maxActivationBits();
 
     std::vector<LayerEnergyReport> reports;
-    reports.reserve(ledgers.size());
-    for (std::size_t i = 0; i < ledgers.size(); ++i) {
+    reports.reserve(counts_.size());
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
         const aqfp::LayerSpec &spec = mapped_spec.layers[i];
         const crossbar::MappedLayer &layer =
             i == mapped.size() ? headMapped : mapped[i].layer;
@@ -284,10 +299,13 @@ HardwareEvaluator::energyReports(double frequency_ghz) const
 
         LayerEnergyReport rep;
         rep.name = spec.name;
-        rep.counts = ledgers[i].totals();
+        rep.counts = counts_[i];
         rep.analytic = model.evaluateLayer(spec, acfg, max_act_bits);
 
-        if (images > 0) {
+        // With no images observed there is nothing to normalize per
+        // image: emit flagged placeholder measurements instead of
+        // dividing the (all-zero) counts by zero.
+        if (images_ > 0) {
             aqfp::LedgerPricingContext ctx;
             ctx.config = acfg;
             ctx.rowTiles = layer.rowTiles;
@@ -296,7 +314,7 @@ HardwareEvaluator::energyReports(double frequency_ghz) const
             // The executor really ran every spatial position (conv
             // layers are driven patch-wise), so the counts need no
             // replay scaling — only normalization to one image.
-            ctx.images = static_cast<double>(images);
+            ctx.images = static_cast<double>(images_);
             ctx.maxActBits = max_act_bits;
             rep.measured = model.priceLedger(rep.counts, ctx);
             rep.delta = aqfp::reconcile(rep.measured, rep.analytic);
@@ -385,8 +403,33 @@ HardwareEvaluator::binarizeInputs(const std::vector<Tensor> &samples,
 }
 
 std::vector<std::vector<double>>
+HardwareEvaluator::runBatch(const std::vector<std::vector<int>> &inputs,
+                            RootSource &roots,
+                            aqfp::LedgerCounts *counts) const
+{
+    std::vector<aqfp::HardwareLedger> ledgers(mapped.size() + 1);
+    std::vector<std::vector<double>> scores =
+        kind == Kind::Mlp ? runMlpBatch(inputs, roots, ledgers)
+                          : runCnnBatch(inputs, roots, ledgers);
+    aqfp::LedgerCounts call;
+    {
+        const std::lock_guard<std::mutex> lock(countsMutex_);
+        for (std::size_t i = 0; i < ledgers.size(); ++i) {
+            const aqfp::LedgerCounts layer = ledgers[i].totals();
+            counts_[i] += layer;
+            call += layer;
+        }
+        images_ += inputs.size();
+    }
+    if (counts)
+        *counts = call;
+    return scores;
+}
+
+std::vector<std::vector<double>>
 HardwareEvaluator::runMlpBatch(
-    const std::vector<std::vector<int>> &inputs, RootSource &roots) const
+    const std::vector<std::vector<int>> &inputs, RootSource &roots,
+    std::vector<aqfp::HardwareLedger> &ledgers) const
 {
     const std::size_t samples = inputs.size();
     std::vector<std::vector<int>> acts = inputs;
@@ -415,7 +458,8 @@ HardwareEvaluator::runMlpBatch(
 
 std::vector<std::vector<double>>
 HardwareEvaluator::runCnnBatch(
-    const std::vector<std::vector<int>> &inputs, RootSource &roots) const
+    const std::vector<std::vector<int>> &inputs, RootSource &roots,
+    std::vector<aqfp::HardwareLedger> &ledgers) const
 {
     // Activations held channel-major per sample:
     // acts[b][c * side * side + y * side + x]. Every conv layer runs as
@@ -527,17 +571,16 @@ HardwareEvaluator::classScores(const std::vector<Tensor> &samples,
 {
     const std::vector<std::vector<int>> inputs =
         binarizeInputs(samples, "classScores");
-    images_.fetch_add(samples.size(), std::memory_order_relaxed);
     RootSource roots;
     roots.shared = &rng;
-    return kind == Kind::Mlp ? runMlpBatch(inputs, roots)
-                             : runCnnBatch(inputs, roots);
+    return runBatch(inputs, roots, nullptr);
 }
 
 std::vector<std::vector<double>>
 HardwareEvaluator::classScoresSeeded(
     const std::vector<Tensor> &samples,
-    const std::vector<std::uint64_t> &seeds) const
+    const std::vector<std::uint64_t> &seeds,
+    aqfp::LedgerCounts *counts) const
 {
     const std::vector<std::vector<int>> inputs =
         binarizeInputs(samples, "classScoresSeeded");
@@ -546,7 +589,6 @@ HardwareEvaluator::classScoresSeeded(
             "HardwareEvaluator::classScoresSeeded: "
             + std::to_string(seeds.size()) + " seeds for "
             + std::to_string(samples.size()) + " samples");
-    images_.fetch_add(samples.size(), std::memory_order_relaxed);
     // One private engine per request: sample i consumes the exact draw
     // sequence classScores(samples[i], Rng(seeds[i])) would.
     std::vector<Rng> engines;
@@ -555,8 +597,7 @@ HardwareEvaluator::classScoresSeeded(
         engines.emplace_back(seed);
     RootSource roots;
     roots.perRequest = &engines;
-    return kind == Kind::Mlp ? runMlpBatch(inputs, roots)
-                             : runCnnBatch(inputs, roots);
+    return runBatch(inputs, roots, counts);
 }
 
 std::vector<std::size_t>
@@ -646,9 +687,10 @@ HardwareEvaluator::injectVariationSeeded(double gray_zone_sigma,
 aqfp::LedgerCounts
 HardwareEvaluator::totalLedgerCounts() const
 {
+    const std::lock_guard<std::mutex> lock(countsMutex_);
     aqfp::LedgerCounts total;
-    for (const auto &l : ledgers)
-        total += l.totals();
+    for (const aqfp::LedgerCounts &layer : counts_)
+        total += layer;
     return total;
 }
 

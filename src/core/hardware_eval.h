@@ -12,9 +12,8 @@
 #ifndef SUPERBNN_CORE_HARDWARE_EVAL_H
 #define SUPERBNN_CORE_HARDWARE_EVAL_H
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -71,25 +70,23 @@ struct LayerEnergyReport
 /**
  * Maps a trained model onto simulated AQFP hardware and evaluates it.
  *
- * Every forward pass is instrumented: each mapped layer (and the head)
- * owns an aqfp::HardwareLedger that accumulates the observed hardware
- * activity, so accuracy evaluation doubles as energy measurement — see
- * energyReports().
+ * Every forward pass is instrumented: each evaluation call records the
+ * observed hardware activity of every mapped layer (and the head) into
+ * call-local aqfp::HardwareLedgers, then adds their totals and its
+ * image count to the evaluator's per-layer counts, so accuracy
+ * evaluation doubles as energy measurement — see energyReports().
  *
- * Concurrency: the per-layer ledgers are safe to record into from
- * concurrent forwards (relaxed-atomic slots — see aqfp::HardwareLedger),
- * so concurrent classScoresSeeded calls on the SAME evaluator are
- * supported and their *totals* stay exact; that is how the sharded
- * InferenceService runs one sub-batch per NUMA shard. What stays
- * single-writer is the ledger *snapshot window*: a before/after
- * totalLedgerCounts() delta (the service's per-request attribution,
- * energyReports' per-image normalization) is only meaningful when no
- * OTHER evaluation stream records into these ledgers between the two
- * snapshots — the service guarantees that by being its evaluator's
- * sole user. Mutating calls (mapMlp/mapCnn, injectVariationSeeded,
- * resetLedgers) are never safe to race with evaluation. Where tile
- * loops run is fixed by the plan's `threads` when mapMlp/mapCnn builds
- * the executors (see util/sharded_executor_pool.h).
+ * Concurrency: evaluation calls on the SAME evaluator may run
+ * concurrently (the sharded InferenceService runs one sub-batch per
+ * NUMA shard). Each call merges its counts under one lock, taken once
+ * per call, and totalLedgerCounts(), imagesObserved() and
+ * energyReports() read under that lock, so every reader sees whole
+ * calls only. A caller that needs its own call's activity takes it from
+ * classScoresSeeded's `counts` out-parameter rather than from a
+ * difference of totals. Mutating calls (mapMlp/mapCnn,
+ * injectVariationSeeded) are never safe to race with evaluation. Where
+ * tile loops run is fixed by the plan's `threads` when mapMlp/mapCnn
+ * builds the executors (see util/sharded_executor_pool.h).
  */
 class HardwareEvaluator
 {
@@ -182,14 +179,20 @@ class HardwareEvaluator
      * executor megabatches never changes any response.
      *
      * Mixed model kinds are supported (MLP and CNN evaluators both
-     * route through it). Records into the same per-layer ledgers as
-     * every other evaluation entry point.
+     * route through it). Adds to the same per-layer counts as every
+     * other evaluation entry point.
      *
+     * @param counts  optional out-parameter: receives exactly this
+     *                call's activity, summed over every mapped layer
+     *                and the head (what the call added to
+     *                totalLedgerCounts(), whatever else runs
+     *                concurrently)
      * @throws std::invalid_argument when seeds.size() != samples.size()
      */
     std::vector<std::vector<double>>
     classScoresSeeded(const std::vector<Tensor> &samples,
-                      const std::vector<std::uint64_t> &seeds) const;
+                      const std::vector<std::uint64_t> &seeds,
+                      aqfp::LedgerCounts *counts = nullptr) const;
 
     /** Argmax of classScores. */
     std::size_t predict(const Tensor &sample, Rng &rng) const;
@@ -227,8 +230,8 @@ class HardwareEvaluator
     std::size_t totalCrossbars() const;
 
     /**
-     * Per-layer energy/latency reports priced from the activity the
-     * ledgers observed since mapping (or the last resetLedgers()),
+     * Per-layer energy/latency reports priced from the activity
+     * observed since mapping (or the last resetLedgers()),
      * normalized per image, plus the analytic prediction for each
      * layer's geometry and the reconciliation delta. The mapped layers
      * come first (in network order), the classifier head last.
@@ -247,13 +250,9 @@ class HardwareEvaluator
     energyReports(double frequency_ghz = 5.0) const;
 
     /** Images evaluated since mapping / the last resetLedgers(). */
-    std::uint64_t
-    imagesObserved() const
-    {
-        return images_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t imagesObserved() const;
 
-    /** Zero every layer ledger and the image counter. */
+    /** Zero every layer's counts and the image counter. */
     void resetLedgers();
 
     /**
@@ -276,7 +275,7 @@ class HardwareEvaluator
                                       std::uint64_t chip_index);
 
     /**
-     * Sum of every layer ledger's totals (mapped layers + head): the
+     * Sum of every layer's counts (mapped layers + head): the
      * whole-chip observed activity since mapping / the last
      * resetLedgers(). Deterministic integers — the yield sweep's
      * per-chip attribution.
@@ -332,15 +331,12 @@ class HardwareEvaluator
     std::vector<MappedCell> mapped;
     crossbar::MappedLayer headMapped;
     std::vector<float> headAlpha;
-    /// One ledger per mapped layer plus one for the head (a deque
-    /// because HardwareLedger is pinned in place by its atomics).
-    /// Mutable: observation during const evaluation is bookkeeping,
-    /// not model state.
-    mutable std::deque<aqfp::HardwareLedger> ledgers;
-    mutable std::atomic<std::uint64_t> images_{0};
-
-    /** Allocate one fresh ledger per mapped layer + head. */
-    void initLedgers();
+    /// Guards counts_ and images_. Mutable: observation during const
+    /// evaluation is bookkeeping, not model state.
+    mutable std::mutex countsMutex_;
+    /// Observed activity per mapped layer plus the head (last).
+    mutable std::vector<aqfp::LedgerCounts> counts_;
+    mutable std::uint64_t images_ = 0;
     /**
      * Resolve plan_ against @p cell_count cells and (re)build the
      * per-distinct-window executors + cell->executor index.
@@ -373,12 +369,22 @@ class HardwareEvaluator
     std::vector<std::vector<int>>
     binarizeInputs(const std::vector<Tensor> &samples,
                    const char *caller) const;
+    /**
+     * Run one evaluation call into call-local ledgers, then add their
+     * totals and the image count to counts_/images_ under the lock;
+     * the call's summed activity goes to @p counts when non-null.
+     */
+    std::vector<std::vector<double>>
+    runBatch(const std::vector<std::vector<int>> &inputs,
+             RootSource &roots, aqfp::LedgerCounts *counts) const;
     std::vector<std::vector<double>>
     runMlpBatch(const std::vector<std::vector<int>> &inputs,
-                RootSource &roots) const;
+                RootSource &roots,
+                std::vector<aqfp::HardwareLedger> &ledgers) const;
     std::vector<std::vector<double>>
     runCnnBatch(const std::vector<std::vector<int>> &inputs,
-                RootSource &roots) const;
+                RootSource &roots,
+                std::vector<aqfp::HardwareLedger> &ledgers) const;
 };
 
 } // namespace superbnn::core

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace superbnn::crossbar {
 
@@ -66,7 +68,19 @@ void
 CrossbarMapper::setThresholds(MappedLayer &layer,
                               const std::vector<double> &vth)
 {
-    assert(vth.size() == layer.fanOut);
+    // Checked in every build: a non-finite threshold would reach the
+    // Bernoulli fill as a NaN probability.
+    if (vth.size() != layer.fanOut)
+        throw std::invalid_argument(
+            "CrossbarMapper::setThresholds: " + std::to_string(vth.size())
+            + " thresholds for " + std::to_string(layer.fanOut)
+            + " output columns");
+    for (std::size_t out = 0; out < vth.size(); ++out)
+        if (!std::isfinite(vth[out]))
+            throw std::invalid_argument(
+                "CrossbarMapper::setThresholds: column "
+                + std::to_string(out) + " threshold is "
+                + std::to_string(vth[out]));
     layer.thresholds = vth;
     const double share = 1.0 / static_cast<double>(layer.rowTiles);
     for (std::size_t out = 0; out < layer.fanOut; ++out) {

@@ -66,6 +66,9 @@ class CrossbarMapper
     /**
      * Install value-domain thresholds (one per output unit), dividing
      * each evenly over the row tiles as the paper prescribes.
+     * @throws std::invalid_argument (layer untouched) when @p vth does
+     *         not hold one value per output column or a value is not
+     *         finite (a zero BN alpha or a NaN weight/statistic)
      */
     static void setThresholds(MappedLayer &layer,
                               const std::vector<double> &vth);

@@ -144,11 +144,12 @@ TileExecutor::observeTiles(
     aqfp::HardwareLedger *ledger) const
 {
     const std::size_t samples = batch.size();
-    if (ledger)
-        ledger->beginForward(layer.rowTiles, layer.colTiles, samples);
-
-    observed.assign(layer.rowTiles * layer.colTiles, {});
-    runParallel(layer.rowTiles * layer.colTiles, [&](std::size_t t) {
+    const std::size_t tiles = layer.rowTiles * layer.colTiles;
+    observed.assign(tiles, {});
+    // Each task fills only its own tile's slot; the calling thread
+    // records them after the barrier, so no task touches the ledger.
+    std::vector<aqfp::TileCounts> counts(ledger ? tiles : 0);
+    runParallel(tiles, [&](std::size_t t) {
         const std::size_t rt = t / layer.colTiles;
         const std::size_t ct = t % layer.colTiles;
         const std::size_t r0 = rt * layer.cs;
@@ -160,14 +161,15 @@ TileExecutor::observeTiles(
                              batch[b].begin() + r0 + rows);
             seeds[b] = tileSeed(roots[b], rt, ct);
         }
-        // Each task owns its scratch slot: no synchronization needed.
-        aqfp::TileCounts counts;
         observed[t] = layer.tile(rt, ct).observeBatchSeeded(
-            slices, window_, seeds, ledger ? &counts : nullptr);
-        // This task is the only writer of slot (rt, ct) this pass.
-        if (ledger)
-            ledger->recordTile(rt, ct, counts);
+            slices, window_, seeds, ledger ? &counts[t] : nullptr);
     });
+    if (!ledger)
+        return;
+    ledger->beginForward(layer.rowTiles, layer.colTiles, samples);
+    for (std::size_t t = 0; t < tiles; ++t)
+        ledger->recordTile(t / layer.colTiles, t % layer.colTiles,
+                           counts[t]);
 }
 
 void
@@ -193,17 +195,20 @@ TileExecutor::mergeColumns(
                     observed[rt * layer.colTiles + ct][c].view(b);
             emit(b, c0 + c, column);
         }
-        // Only real columns are merged (a partial tail group merges
-        // fewer than Cs); the group still serializes for one full
-        // window of cycles.
-        if (ledger)
-            ledger->recordMerge(cols, cols * accum.mergeInputBits(),
-                                window_);
     });
-    if (ledger)
-        ledger->recordBuffer(
-            static_cast<std::uint64_t>(samples) * layer.fanIn,
-            static_cast<std::uint64_t>(samples) * layer.fanOut);
+    if (!ledger)
+        return;
+    // Merge activity is value-independent, so it is recorded once in
+    // closed form: only real columns are merged (a partial tail group
+    // merges fewer than Cs), and every (sample, column group) still
+    // serializes for one full window of cycles.
+    const std::uint64_t merges =
+        static_cast<std::uint64_t>(samples) * layer.fanOut;
+    ledger->recordMerge(merges, merges * accum.mergeInputBits(),
+                        static_cast<std::uint64_t>(samples)
+                            * layer.colTiles * window_);
+    ledger->recordBuffer(static_cast<std::uint64_t>(samples) * layer.fanIn,
+                         merges);
 }
 
 std::vector<std::vector<int>>

@@ -221,6 +221,9 @@ class TileExecutor
      * observed[rt * colTiles + ct][c] holds column c's BitstreamBatch.
      * @p roots carries one pre-drawn per-sample root (the Rng-based
      * overloads draw them in sample order before any parallel work).
+     * Each task counts its tile's activity into a slot of its own; the
+     * calling thread records the slots into @p ledger after the
+     * barrier.
      */
     void
     observeTiles(const MappedLayer &layer,
@@ -232,7 +235,8 @@ class TileExecutor
     /**
      * Phase 2: per-(sample, column group) accumulation merge shared by
      * forward and forwardDecoded; @p emit consumes each merged column.
-     * Reports merge activity and buffer traffic into @p ledger.
+     * Records merge activity and buffer traffic into @p ledger after
+     * the barrier, in closed form (it does not depend on values).
      */
     void
     mergeColumns(const MappedLayer &layer, std::size_t samples,

@@ -1,8 +1,6 @@
 #include "serve/inference_service.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <exception>
 #include <iterator>
 #include <stdexcept>
@@ -14,24 +12,6 @@
 namespace superbnn::serve {
 
 namespace {
-
-/** Field-wise difference of two ledger snapshots (after - before). */
-aqfp::LedgerCounts
-countsDelta(const aqfp::LedgerCounts &after,
-            const aqfp::LedgerCounts &before)
-{
-    aqfp::LedgerCounts d;
-    d.samples = after.samples - before.samples;
-    d.tileObservations = after.tileObservations - before.tileObservations;
-    d.crossbarCycles = after.crossbarCycles - before.crossbarCycles;
-    d.bernoulliDraws = after.bernoulliDraws - before.bernoulliDraws;
-    d.apcAccumulations = after.apcAccumulations - before.apcAccumulations;
-    d.apcInputBits = after.apcInputBits - before.apcInputBits;
-    d.columnGroupSteps = after.columnGroupSteps - before.columnGroupSteps;
-    d.bufferReadBits = after.bufferReadBits - before.bufferReadBits;
-    d.bufferWriteBits = after.bufferWriteBits - before.bufferWriteBits;
-    return d;
-}
 
 double
 elapsedMicros(std::chrono::steady_clock::time_point from,
@@ -55,8 +35,8 @@ exactShare(std::uint64_t value, std::uint64_t n, const char *field)
             std::string("countsShare: ") + field + " ("
             + std::to_string(value)
             + ") not divisible by batch size " + std::to_string(n)
-            + " — another evaluation stream recorded into the "
-              "evaluator's ledgers during the snapshot window");
+            + " — a batch's counts must split evenly over its "
+              "requests");
     return value / n;
 }
 
@@ -67,7 +47,7 @@ countsShare(const aqfp::LedgerCounts &batch, std::uint64_t n)
 {
     // The exact-divisibility contract is CHECKED (not an assert): a
     // Release build must refuse to mis-attribute rather than silently
-    // truncate when the single-writer snapshot window is violated.
+    // truncate if the accounting is ever wrong.
     if (n == 0)
         throw std::invalid_argument("countsShare: batch size is zero");
     aqfp::LedgerCounts s;
@@ -249,10 +229,13 @@ InferenceService::serveBatch(std::vector<Pending> &batch)
         seeds.push_back(p.seed);
     }
 
-    const aqfp::LedgerCounts before = evaluator.totalLedgerCounts();
     std::vector<std::vector<double>> scores;
+    aqfp::LedgerCounts share;
     try {
-        scores = shardedScores(samples, seeds);
+        aqfp::LedgerCounts counts;
+        scores = shardedScores(samples, seeds, counts);
+        share = detail::countsShare(counts, batch.size());
+        refreshUnitCost();
     } catch (...) {
         // A failed megabatch fails every rider; futures are never
         // abandoned.
@@ -260,25 +243,6 @@ InferenceService::serveBatch(std::vector<Pending> &batch)
             p.promise.set_exception(std::current_exception());
         return;
     }
-    aqfp::LedgerCounts share;
-    try {
-        share = detail::countsShare(
-            countsDelta(evaluator.totalLedgerCounts(), before),
-            batch.size());
-    } catch (const std::invalid_argument &e) {
-        // Attribution failed its exactness check (an external writer
-        // raced the snapshot window). The scores themselves are still
-        // correct — serve them with a zeroed share rather than failing
-        // the requests, and say so once per process.
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            std::fprintf(stderr,
-                         "superbnn: serve: %s; serving batch with "
-                         "zeroed per-request counts\n",
-                         e.what());
-        share = aqfp::LedgerCounts{};
-    }
-    refreshUnitCost();
 
     const auto done = Clock::now();
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -300,13 +264,13 @@ InferenceService::serveBatch(std::vector<Pending> &batch)
 
 std::vector<std::vector<double>>
 InferenceService::shardedScores(
-    std::vector<Tensor> &samples,
-    const std::vector<std::uint64_t> &seeds) const
+    std::vector<Tensor> &samples, const std::vector<std::uint64_t> &seeds,
+    aqfp::LedgerCounts &counts) const
 {
     const std::size_t shard_count = shards_->shardCount();
     const std::size_t k = std::min(shard_count, samples.size());
     if (k <= 1)
-        return evaluator.classScoresSeeded(samples, seeds);
+        return evaluator.classScoresSeeded(samples, seeds, &counts);
 
     // Contiguous even split: sub-batch j takes [starts[j], starts[j+1]).
     // Each runs on its own shard-bound thread, so the evaluator's
@@ -323,6 +287,7 @@ InferenceService::shardedScores(
     }
 
     std::vector<std::vector<std::vector<double>>> sub(k);
+    std::vector<aqfp::LedgerCounts> sub_counts(k);
     std::vector<std::exception_ptr> errors(k);
     auto runRange = [&](std::size_t j) {
         try {
@@ -334,7 +299,8 @@ InferenceService::shardedScores(
             const std::vector<std::uint64_t> part_seeds(
                 seeds.begin() + starts[j],
                 seeds.begin() + starts[j + 1]);
-            sub[j] = evaluator.classScoresSeeded(part, part_seeds);
+            sub[j] = evaluator.classScoresSeeded(part, part_seeds,
+                                                 &sub_counts[j]);
         } catch (...) {
             errors[j] = std::current_exception();
         }
@@ -352,9 +318,12 @@ InferenceService::shardedScores(
 
     std::vector<std::vector<double>> scores;
     scores.reserve(samples.size());
-    for (std::size_t j = 0; j < k; ++j)
+    counts = {};
+    for (std::size_t j = 0; j < k; ++j) {
+        counts += sub_counts[j];
         for (std::vector<double> &s : sub[j])
             scores.push_back(std::move(s));
+    }
     return scores;
 }
 

@@ -47,11 +47,10 @@ namespace detail {
  * for every sample of a batch — and that contract is *checked*, not
  * assumed: a zero @p n or any non-divisible field throws
  * std::invalid_argument (naming the offending field) instead of
- * silently truncating in Release builds. A non-divisible delta means
- * the single-writer snapshot-window assumption was violated — some
- * other evaluation stream recorded into the service's evaluator
- * between the before/after totalLedgerCounts() snapshots (see
- * core::HardwareEvaluator's concurrency notes).
+ * silently truncating in Release builds. @p batch is the megabatch's
+ * own counts (core::HardwareEvaluator::classScoresSeeded's `counts`
+ * out-parameter), so a non-divisible field can only mean an
+ * accounting bug; the service fails the batch's requests with it.
  */
 aqfp::LedgerCounts countsShare(const aqfp::LedgerCounts &batch,
                                std::uint64_t n);
@@ -94,8 +93,8 @@ struct ServiceConfig
  *
  * Attribution is exact, not amortized-approximate: ledger counts are
  * value-independent and identical for every sample in a batch, so the
- * batch's observed-count delta divides by the batch size without
- * remainder (asserted in the tests).
+ * batch's own observed counts divide by the batch size without
+ * remainder (checked by detail::countsShare).
  */
 struct InferenceResponse
 {
@@ -138,16 +137,16 @@ struct ServiceStats
  * The long-lived in-process inference service.
  *
  * Threading: submit()/trySubmit()/stats() are safe from any number of
- * client threads. The service is its evaluator's sole user: only the
- * dispatcher drives evaluation, which keeps the before/after ledger
- * snapshot window single-writer (the attribution contract — see
- * detail::countsShare). Within one megabatch the dispatcher may fan
- * out: on hosts where util::ShardedExecutorPool resolves more than
- * one shard (SUPERBNN_NUMA), the batch splits into per-shard
- * sub-batches evaluated concurrently, each pinned to its node's pool.
- * That is safe — the evaluator's ledgers accept concurrent forwards —
- * and invisible in the responses, which stay bit-identical across
- * every SUPERBNN_NUMA / SUPERBNN_PIN / thread-count setting.
+ * client threads. Only the dispatcher drives evaluation, and it
+ * attributes each megabatch from the counts its own evaluation calls
+ * return (see detail::countsShare), so other callers may evaluate on
+ * the same evaluator without skewing any response. Within one
+ * megabatch the dispatcher may fan out: on hosts where
+ * util::ShardedExecutorPool resolves more than one shard
+ * (SUPERBNN_NUMA), the batch splits into per-shard sub-batches
+ * evaluated concurrently, each pinned to its node's pool. That is
+ * invisible in the responses, which stay bit-identical across every
+ * SUPERBNN_NUMA / SUPERBNN_PIN / thread-count setting.
  *
  * Shutdown: stop() (also run by the destructor) drains — requests
  * already admitted are still served and their futures fulfilled; only
@@ -158,8 +157,7 @@ class InferenceService
 {
   public:
     /**
-     * @param evaluator  a mapped evaluator; the service becomes its
-     *                   sole evaluation stream until stop()
+     * @param evaluator  a mapped evaluator (must outlive the service)
      * @param config     admission/batching knobs
      */
     InferenceService(const core::HardwareEvaluator &evaluator,
@@ -231,10 +229,12 @@ class InferenceService
      * its own NUMA node. Responses are bit-identical to the unsharded
      * call — classScoresSeeded makes each entry a pure function of
      * (model, sample, seed), so partitioning cannot change answers.
+     * @p counts receives the summed activity of the sub-batches.
      */
     std::vector<std::vector<double>>
     shardedScores(std::vector<Tensor> &samples,
-                  const std::vector<std::uint64_t> &seeds) const;
+                  const std::vector<std::uint64_t> &seeds,
+                  aqfp::LedgerCounts &counts) const;
     /** Lazily price one image's energy/latency from the ledgers. */
     void refreshUnitCost();
 

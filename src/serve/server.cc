@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 
 #include <sys/socket.h>
@@ -13,6 +16,13 @@
 namespace superbnn::serve {
 
 namespace {
+
+/**
+ * Longest request line a connection may send (or leave unterminated).
+ * A valid line is under 64 bytes; a client past this is hung up on
+ * instead of growing the line buffer without bound.
+ */
+constexpr std::size_t kMaxLineBytes = 1024;
 
 /**
  * Write the whole buffer, riding out short writes and EINTR.
@@ -35,6 +45,18 @@ writeAll(int fd, const std::string &data)
         off += static_cast<std::size_t>(n);
     }
     return true;
+}
+
+/** @p token as a 64-bit value: decimal digits only, no sign, no wrap. */
+std::optional<std::uint64_t>
+parseU64(const std::string &token)
+{
+    std::uint64_t value = 0;
+    const char *end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return value;
 }
 
 } // namespace
@@ -187,14 +209,20 @@ SocketServer::handleConnection(std::uint64_t id, int fd)
             break; // EOF or hangup
         pending.append(buf, static_cast<std::size_t>(n));
         std::size_t eol;
-        while ((eol = pending.find('\n')) != std::string::npos) {
+        while (open && (eol = pending.find('\n')) != std::string::npos
+               && eol <= kMaxLineBytes) {
             const std::string line = pending.substr(0, eol);
             pending.erase(0, eol + 1);
             const std::string reply = handleLine(line);
-            if (reply.empty() || !writeAll(fd, reply)) {
-                open = false;
-                break;
-            }
+            open = !reply.empty() && writeAll(fd, reply);
+        }
+        // Whatever is left starts with an unterminated line or one past
+        // the limit.
+        const std::size_t next_line =
+            std::min(pending.find('\n'), pending.size());
+        if (open && next_line > kMaxLineBytes) {
+            (void)writeAll(fd, "err line too long\n");
+            open = false;
         }
     }
     retireConnection(id, fd);
@@ -203,14 +231,14 @@ SocketServer::handleConnection(std::uint64_t id, int fd)
 std::string
 SocketServer::handleLine(const std::string &line)
 {
-    char cmd[16];
-    unsigned long long index = 0;
-    unsigned long long seed = 0;
-    const int fields =
-        std::sscanf(line.c_str(), "%15s %llu %llu", cmd, &index, &seed);
-    if (fields >= 1 && std::strcmp(cmd, "quit") == 0)
+    // Whole whitespace-separated tokens; a fourth one is an error.
+    std::istringstream in(line);
+    std::string verb, index_text, seed_text, extra;
+    in >> verb >> index_text >> seed_text >> extra;
+    const bool verb_only = index_text.empty();
+    if (verb_only && verb == "quit")
         return "";
-    if (fields >= 1 && std::strcmp(cmd, "stats") == 0) {
+    if (verb_only && verb == "stats") {
         const ServiceStats s = service.stats();
         char out[160];
         std::snprintf(out, sizeof(out),
@@ -222,16 +250,18 @@ SocketServer::handleLine(const std::string &line)
                       s.largestBatch);
         return out;
     }
-    if (fields != 3 || std::strcmp(cmd, "predict") != 0)
+    const std::optional<std::uint64_t> index = parseU64(index_text);
+    const std::optional<std::uint64_t> seed = parseU64(seed_text);
+    if (verb != "predict" || !index || !seed || !extra.empty())
         return "err bad request (want: predict <index> <seed>)\n";
-    if (index >= samples.size())
+    if (*index >= samples.size())
         return "err sample index out of range\n";
     try {
         // Block this connection's thread on its future: concurrency
         // comes from concurrent connections, which the service's
         // dispatcher coalesces into megabatches.
         const InferenceResponse r =
-            service.submit(samples.sample(index), seed).get();
+            service.submit(samples.sample(*index), *seed).get();
         char out[192];
         std::snprintf(out, sizeof(out), "ok %zu %.17g %.17g %zu\n",
                       r.predicted, r.energyAj, r.hardwareLatencyUs,

@@ -13,6 +13,10 @@
  *     quit
  *         -> (connection closed)
  *
+ * Numbers are decimal digits only and must fit in 64 bits; a malformed
+ * line gets `err bad request`, and a line past 1 KiB gets
+ * `err line too long` and a closed connection.
+ *
  * Samples are addressed by index into a dataset the server holds
  * read-only; the client supplies the noise seed, so a response is a
  * pure function of (mapped model, sample index, seed) — the same

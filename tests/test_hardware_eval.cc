@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/hardware_eval.h"
 #include "core/trainer.h"
@@ -243,4 +247,128 @@ TEST(HardwareEvalInputCheck, WrongSizeCnnSampleThrows)
                  std::invalid_argument);
     EXPECT_THROW(eval.predictSeeded({Tensor::randn({1, 2, 8, 8}, rng)}, {1}),
                  std::invalid_argument);
+}
+
+namespace {
+
+/** @p per_image added up @p n times. */
+aqfp::LedgerCounts
+timesImages(const aqfp::LedgerCounts &per_image, std::size_t n)
+{
+    aqfp::LedgerCounts total;
+    for (std::size_t i = 0; i < n; ++i)
+        total += per_image;
+    return total;
+}
+
+/** mapMlp's std::invalid_argument text, or "" when it maps. */
+std::string
+mapMlpError(const RandomizedMlp &mlp)
+{
+    HardwareEvaluator eval(aqfp::AttenuationModel(),
+                           {8, 4, 2.4, false, 0.25, 1, 8});
+    try {
+        eval.mapMlp(mlp);
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(eval.inputSize(), 0u) << "a failed map stays unmapped";
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(HardwareEvalConcurrency, ConcurrentCallsEachGetTheirOwnCounts)
+{
+    // Concurrent evaluation calls on one evaluator: each call's counts
+    // are exactly its own, and the totals are exactly their sum.
+    Rng rng(18);
+    const aqfp::AttenuationModel atten;
+    const RandomizedMlp mlp(32, {24, 16}, 4, AqfpBehavior{8, 2.4, 0.0},
+                            atten, rng);
+    HardwareEvaluator eval(atten, {8, 8, 2.4, false, 0.25, 0, 8});
+    eval.mapMlp(mlp);
+    const Tensor sample = Tensor::randn({1, 32}, rng);
+
+    aqfp::LedgerCounts per_image;
+    eval.classScoresSeeded({sample}, {7}, &per_image);
+    EXPECT_EQ(per_image.samples, 3u); // 2 hidden layers + head
+    EXPECT_EQ(eval.totalLedgerCounts(), per_image);
+    eval.resetLedgers();
+
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kCalls = 6;
+    std::vector<std::vector<aqfp::LedgerCounts>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            const std::size_t n = t + 1;
+            const std::vector<Tensor> batch(n, sample);
+            const std::vector<std::uint64_t> seeds(n, 100 + t);
+            for (std::size_t c = 0; c < kCalls; ++c)
+                eval.classScoresSeeded(batch, seeds,
+                                       &seen[t].emplace_back());
+        });
+    for (std::thread &t : threads)
+        t.join();
+
+    aqfp::LedgerCounts sum;
+    std::size_t images = 0;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        for (const aqfp::LedgerCounts &call : seen[t]) {
+            EXPECT_EQ(call, timesImages(per_image, t + 1))
+                << "thread " << t;
+            sum += call;
+            images += t + 1;
+        }
+    EXPECT_EQ(eval.totalLedgerCounts(), sum);
+    EXPECT_EQ(eval.imagesObserved(), images);
+}
+
+TEST(HardwareEvalMapCheck, NonFiniteThresholdNamesTheLayer)
+{
+    // A NaN running statistic or a zero alpha folds into a non-finite
+    // threshold; unchecked it reaches the Bernoulli fill as a NaN
+    // probability. Mapping now fails, naming the layer and column.
+    const aqfp::AttenuationModel atten;
+    const auto makeMlp = [&] {
+        Rng rng(19);
+        return RandomizedMlp(32, {16, 8}, 4, AqfpBehavior{8, 2.4, 0.0},
+                             atten, rng);
+    };
+    ASSERT_EQ(mapMlpError(makeMlp()), "");
+
+    RandomizedMlp nan_mean = makeMlp();
+    nn::BatchNorm &bn = *nan_mean.cells()[0].bn;
+    Tensor mean = bn.runningMean();
+    mean[3] = std::numeric_limits<float>::quiet_NaN();
+    bn.setRunningStats(mean, bn.runningVar());
+    const std::string nan_error = mapMlpError(nan_mean);
+    EXPECT_NE(nan_error.find("layer fc1"), std::string::npos) << nan_error;
+    EXPECT_NE(nan_error.find("column 3"), std::string::npos) << nan_error;
+
+    RandomizedMlp zero_alpha = makeMlp();
+    zero_alpha.cells()[1].linear->alpha().value[5] = 0.0f;
+    const std::string alpha_error = mapMlpError(zero_alpha);
+    EXPECT_NE(alpha_error.find("layer fc2"), std::string::npos)
+        << alpha_error;
+    EXPECT_NE(alpha_error.find("column 5"), std::string::npos)
+        << alpha_error;
+
+    Rng rng(20);
+    RandomizedCnn::Config ccfg;
+    ccfg.inputSide = 8;
+    ccfg.channels = {4};
+    ccfg.poolAfter = {true};
+    RandomizedCnn cnn(ccfg, AqfpBehavior{16, 2.4, 0.0}, atten, rng);
+    cnn.cells()[0].conv->alpha().value[1] = 0.0f;
+    HardwareEvaluator eval(atten, {16, 2, 2.4, false, 0.5, 1, 8});
+    try {
+        eval.mapCnn(cnn);
+        ADD_FAILURE() << "a zero alpha was mapped";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("layer conv1"),
+                  std::string::npos)
+            << e.what();
+    }
 }

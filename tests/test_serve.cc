@@ -9,6 +9,8 @@
  */
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -420,6 +423,49 @@ TEST(InferenceService, LedgerAttributionIsExactShare)
     }
 }
 
+TEST(InferenceService, AttributionExactUnderForeignEvaluation)
+{
+    // Another caller evaluates on the service's evaluator the whole
+    // time. Each response's counts come from its own batch's calls, so
+    // every one is still exactly one image's activity.
+    const auto eval = makeMlpEvaluator(0);
+    const Plan plan = makePlan(64);
+    aqfp::LedgerCounts per_image;
+    makeMlpEvaluator()->classScoresSeeded({plan.samples[0]},
+                                          {plan.seeds[0]}, &per_image);
+    ASSERT_EQ(per_image.samples, 3u);
+
+    std::atomic<bool> serving{true};
+    std::atomic<std::size_t> foreign_calls{0};
+    std::thread foreign([&] {
+        const Plan other = makePlan(3);
+        while (serving.load()) {
+            eval->classScoresSeeded(other.samples, other.seeds);
+            ++foreign_calls;
+        }
+    });
+
+    InferenceService service(*eval, quickConfig());
+    std::vector<std::future<InferenceResponse>> futures;
+    for (std::size_t i = 0; i < plan.samples.size(); ++i) {
+        // Keep within the admission queue; the dispatcher drains it.
+        while (true) {
+            auto fut = service.trySubmit(plan.samples[i], plan.seeds[i]);
+            if (fut) {
+                futures.push_back(std::move(*fut));
+                break;
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i)
+        EXPECT_EQ(futures[i].get().counts, per_image) << "request " << i;
+    service.stop();
+    serving.store(false);
+    foreign.join();
+    EXPECT_GT(foreign_calls.load(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Socket server round trip
 // ---------------------------------------------------------------------
@@ -535,9 +581,10 @@ TEST(CountsShare, ExactDivisionSplitsEveryField)
 
 TEST(CountsShare, NonDivisibleFieldIsACheckedError)
 {
-    // A remainder means another evaluation stream recorded into the
-    // ledgers during the snapshot window — previously only an assert,
-    // i.e. silent corruption in release builds. Now a real error.
+    // A remainder means the batch's own counts do not split evenly
+    // over its requests (an accounting bug) — previously only an
+    // assert, i.e. silent corruption in release builds. Now a real
+    // error.
     aqfp::LedgerCounts batch;
     batch.samples = 8;
     batch.tileObservations = 17; // not divisible by 4
@@ -692,4 +739,148 @@ TEST(SocketServer, ClientHangupMidReplySurvives)
     ::close(fd);
     server.stop();
     service.stop();
+}
+
+namespace {
+
+/** A served tiny-MLP evaluator + service + socket server. */
+struct SocketFixture
+{
+    std::unique_ptr<HardwareEvaluator> eval = makeMlpEvaluator();
+    data::Dataset dataset;
+    std::unique_ptr<InferenceService> service;
+    std::unique_ptr<SocketServer> server;
+
+    explicit SocketFixture(const std::string &path)
+    {
+        dataset.samples = Tensor(Shape{2, 32});
+        dataset.labels = {0, 1};
+        for (std::size_t i = 0; i < dataset.samples.size(); ++i)
+            dataset.samples[i] = hashedFloat(i);
+        service = std::make_unique<InferenceService>(*eval, quickConfig());
+        server = std::make_unique<SocketServer>(*service, dataset, path);
+    }
+
+    ~SocketFixture()
+    {
+        server->stop();
+        service->stop();
+    }
+};
+
+/** connectUnix with a 5 s receive timeout: a silent server fails, not hangs. */
+int
+connectWithTimeout(const std::string &path)
+{
+    const int fd = connectUnix(path);
+    timeval timeout{};
+    timeout.tv_sec = 5;
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    return fd;
+}
+
+/** Everything the server sends until it closes (or the timeout). */
+std::string
+readUntilClosed(int fd, bool &closed)
+{
+    std::string got;
+    char buf[256];
+    for (;;) {
+        const ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n > 0) {
+            got.append(buf, static_cast<std::size_t>(n));
+            continue;
+        }
+        // EOF, or the reset a close with unread input leaves behind.
+        closed = n == 0 || errno == ECONNRESET;
+        return got;
+    }
+}
+
+/** One request line, one reply line. */
+std::string
+roundTripLine(int fd, const std::string &line)
+{
+    EXPECT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(line.size()));
+    std::string got;
+    char c = 0;
+    while (::read(fd, &c, 1) == 1) {
+        got += c;
+        if (c == '\n')
+            break;
+    }
+    return got;
+}
+
+} // namespace
+
+TEST(SocketServer, OverlongLineIsRejectedAndClosed)
+{
+    // Regression: the line buffer grew until a newline arrived, so a
+    // client could stream without one and grow it without bound.
+    const std::string path = "/tmp/superbnn-longline-test.sock";
+    SocketFixture fixture(path);
+
+    const int fd = connectWithTimeout(path);
+    const std::string flood(64 * 1024, 'x');
+    std::size_t off = 0;
+    while (off < flood.size()) {
+        const ssize_t n = ::send(fd, flood.data() + off,
+                                 flood.size() - off, MSG_NOSIGNAL);
+        if (n <= 0)
+            break; // the server hung up mid-flood
+        off += static_cast<std::size_t>(n);
+    }
+    bool closed = false;
+    EXPECT_EQ(readUntilClosed(fd, closed), "err line too long\n");
+    EXPECT_TRUE(closed) << "the connection stayed open";
+    ::close(fd);
+
+    // The server is unharmed: a second client is served.
+    const int next = connectWithTimeout(path);
+    EXPECT_EQ(roundTripLine(next, "predict 1 5\n").rfind("ok ", 0), 0u);
+    ::close(next);
+}
+
+TEST(SocketServer, RequestTokensParseStrictly)
+{
+    // Regression: sscanf("%llu") wrapped "-1" to 2^64 - 1 and accepted
+    // trailing junk and extra tokens.
+    const std::string path = "/tmp/superbnn-parse-test.sock";
+    SocketFixture fixture(path);
+    const std::string bad = "err bad request (want: predict <index> <seed>)\n";
+    const struct
+    {
+        const char *line;
+        bool ok;
+    } cases[] = {
+        {"predict 0 1", true},
+        {"predict 1 18446744073709551615", true}, // 2^64 - 1 fits
+        {"  predict\t0   7  ", true},
+        {"predict 0 -1", false},
+        {"predict -0 1", false},
+        {"predict +1 2", false},
+        {"predict 1 2junk", false},
+        {"predict 1x 2", false},
+        {"predict 1 2 3", false},
+        {"predict 1", false},
+        {"predict 0 18446744073709551616", false}, // 2^64 overflows
+        {"predict 0 0x10", false},
+        {"stats extra", false},
+        {"", false},
+    };
+    const int fd = connectWithTimeout(path);
+    for (const auto &c : cases) {
+        const std::string reply =
+            roundTripLine(fd, std::string(c.line) + "\n");
+        if (c.ok)
+            EXPECT_EQ(reply.rfind("ok ", 0), 0u) << c.line << " -> "
+                                                 << reply;
+        else
+            EXPECT_EQ(reply, bad) << c.line;
+    }
+    ::close(fd);
 }

@@ -5,15 +5,17 @@
  * claims).
  *
  * The analytic model in aqfp/energy.h *derives* activity counts from a
- * layer's tiling geometry. The ledger instead *observes* them while the
- * packed simulator runs: the tile executor and the crossbar arrays
- * report every tile observation, every raw Bernoulli draw consumed by
- * the counter RNG, every APC column merge and every serialized
- * column-group step into a HardwareLedger, and aqfp::energy prices
- * those observed counts with the same Table-1 cell costs, frequency
- * scaling and cryocooler overhead it uses analytically. A differential
- * test layer (tests/test_energy_ledger.cc) reconciles the two models
- * per layer.
+ * layer's tiling geometry. The ledger instead *records* them per
+ * executed forward: the tile executor reports every tile observation,
+ * every raw Bernoulli draw the hardware's counter RNG makes, every APC
+ * column merge and every serialized column-group step into a
+ * HardwareLedger, and aqfp::energy prices those counts with the same
+ * Table-1 cell costs, frequency scaling and cryocooler overhead it uses
+ * analytically. The draw counts equal what
+ * crossbar::CrossbarArray::observeBatchSeeded reads back from its
+ * counter streams (the executor's differential test checks this). A
+ * differential test layer (tests/test_energy_ledger.cc) reconciles the
+ * two models per layer.
  *
  * Determinism contract: every count is a sum of integer contributions
  * that depend only on (layer geometry, batch size, window) — never on
@@ -22,9 +24,9 @@
  * arm, and batch-of-N vs N singles.
  *
  * Thread safety: a ledger is a plain single-writer value. The executor
- * never records from inside a parallel task — observe tasks fill
- * per-tile slots of their own and the calling thread records them after
- * the barrier — so a ledger needs no synchronization of its own.
+ * never records from inside a parallel task — the calling thread
+ * records a forward's activity after the barrier — so a ledger needs
+ * no synchronization of its own.
  * Concurrent evaluations each record into call-local ledgers and merge
  * the totals under their owner's lock (see core::HardwareEvaluator).
  */
@@ -86,10 +88,10 @@ bool operator!=(const LedgerCounts &a, const LedgerCounts &b);
  * counts accumulate until reset()) reports into.
  *
  * Usage: pass a ledger to TileExecutor::forward/forwardDecoded. After
- * each parallel phase the executor's calling thread announces the pass
- * with beginForward() (growing the per-tile grid to the layer's
- * tiling), records every tile's activity with recordTile(), and the
- * phase's merge and buffer activity with recordMerge()/recordBuffer().
+ * the parallel pass the executor's calling thread announces it with
+ * beginForward() (growing the per-tile grid to the layer's tiling),
+ * records every tile's activity with recordTile(), and the pass's
+ * merge and buffer activity with recordMerge()/recordBuffer().
  * A ledger reused across layers of different geometry accumulates
  * per-tile counts coordinate-wise over the union grid.
  */

@@ -28,12 +28,28 @@ validatePoint(const char *type, std::size_t crossbar_size,
             + std::to_string(delta_iin_ua) + ")");
 }
 
+/**
+ * The APC drop fraction: a finite fraction of the counter's input
+ * pairs (outside [0, 1] the dropped-pair count is UB or over-corrects
+ * the comparator's bias).
+ */
+void
+validateDropFraction(const char *type, double drop_fraction)
+{
+    if (!(drop_fraction >= 0.0 && drop_fraction <= 1.0))
+        throw std::invalid_argument(
+            std::string(type)
+            + ": dropFraction must be a finite value in [0, 1] (got "
+            + std::to_string(drop_fraction) + ")");
+}
+
 } // namespace
 
 void
 HardwareConfig::validate() const
 {
     validatePoint("HardwareConfig", crossbarSize, window, deltaIinUa);
+    validateDropFraction("HardwareConfig", dropFraction);
     if (evalBatch == 0)
         throw std::invalid_argument(
             "HardwareConfig: evalBatch must be >= 1 (evaluate() needs "
@@ -88,6 +104,7 @@ HardwarePlan::validate() const
             "entry, or one entry per mapped cell)");
     for (const LayerHardwareConfig &entry : layers)
         entry.validate();
+    validateDropFraction("HardwarePlan", dropFraction);
     if (evalBatch == 0)
         throw std::invalid_argument(
             "HardwarePlan: evalBatch must be >= 1 (evaluate() needs at "

@@ -58,8 +58,9 @@ struct HardwareConfig
 
     /**
      * Reject configurations that would be downstream UB instead of a
-     * simulation: crossbarSize == 0, window == 0, evalBatch == 0, or a
-     * non-finite / non-positive deltaIinUa.
+     * simulation: crossbarSize == 0, window == 0, evalBatch == 0, a
+     * non-finite / non-positive deltaIinUa, or a dropFraction that is
+     * not a finite value in [0, 1].
      * @throws std::invalid_argument naming the offending field
      */
     void validate() const;

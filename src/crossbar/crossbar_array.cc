@@ -84,11 +84,10 @@ CrossbarArray::columnSum(std::size_t col,
 }
 
 void
-CrossbarArray::accumulateColumnSums(int *sums,
-                                    const std::vector<int> &activations)
-    const
+CrossbarArray::addColumnSums(int *sums, const int *activations,
+                             std::size_t rows) const
 {
-    const std::size_t rows = std::min(activations.size(), size_);
+    rows = std::min(rows, size_);
     const simd::KernelSet &kernels = simd::active();
     for (std::size_t r = 0; r < rows; ++r) {
         const int a = activations[r];
@@ -105,7 +104,7 @@ std::vector<int>
 CrossbarArray::columnSums(const std::vector<int> &activations) const
 {
     std::vector<int> sums(size_, 0);
-    accumulateColumnSums(sums.data(), activations);
+    addColumnSums(sums.data(), activations.data(), activations.size());
     return sums;
 }
 
@@ -115,7 +114,8 @@ CrossbarArray::columnSumsBatch(
 {
     std::vector<int> sums(batch.size() * size_, 0);
     for (std::size_t b = 0; b < batch.size(); ++b)
-        accumulateColumnSums(sums.data() + b * size_, batch[b]);
+        addColumnSums(sums.data() + b * size_, batch[b].data(),
+                      batch[b].size());
     return sums;
 }
 

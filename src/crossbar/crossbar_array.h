@@ -93,6 +93,18 @@ class CrossbarArray
     std::vector<int>
     columnSumsBatch(const std::vector<std::vector<int>> &batch) const;
 
+    /**
+     * The column-sum inner loop over a borrowed activation slice: add
+     * the contribution of rows [0, min(@p rows, size())), driven by
+     * activations[0..), into sums[0..size()) via the simd::KernelSet
+     * column-sum kernel. Lets the tile executor read a row tile's
+     * slice in place. Activations must be in {-1, 0, +1} (asserted in
+     * debug builds, matching the per-cell LimCell::multiply contract;
+     * the executor checks its inputs in every build).
+     */
+    void addColumnSums(int *sums, const int *activations,
+                       std::size_t rows) const;
+
     /** One stochastic binarized readout of every column: +/-1 each. */
     std::vector<int> evaluate(const std::vector<int> &activations,
                               Rng &rng) const;
@@ -119,7 +131,8 @@ class CrossbarArray
 
     /**
      * observeBatch with one counter-stream *seed* per sample instead
-     * of live generators — the executor's hot path. Sample b's columns
+     * of live generators; the layout the tile executor's fused pass
+     * reproduces column by column (see TileExecutor). Sample b's columns
      * are drawn from a single sc::detail::CounterStream seeded with
      * seeds[b] and consumed column-major in one pass: column c's
      * window-long stream occupies raw-draw positions [c * window,
@@ -199,16 +212,6 @@ class CrossbarArray
 
     LimCell &cell(std::size_t r, std::size_t c);
     const LimCell &cell(std::size_t r, std::size_t c) const;
-
-    /**
-     * Shared inner loop of columnSums/columnSumsBatch: add every
-     * activation row's contribution into sums[0..size_), via the
-     * simd::KernelSet column-sum kernel. Activations must be in
-     * {-1, 0, +1} (asserted in debug builds, matching the per-cell
-     * LimCell::multiply contract).
-     */
-    void accumulateColumnSums(int *sums,
-                              const std::vector<int> &activations) const;
 };
 
 } // namespace superbnn::crossbar

@@ -8,18 +8,23 @@
  * AccumulationModule APC-sums the per-cycle bits across row tiles and a
  * comparator yields the binary activation driving the next layer.
  *
- * Execution is threaded and batched. The (rowTile, colTile) tile
- * observations of a forward pass are independent, so they run as
- * parallel tasks on a util::ThreadPool — by default shard 0 of the
- * process-wide util::ShardedExecutorPool, so any number of executors
- * reuse one set of worker threads — each writing its streams into its
- * own slot of a preallocated scratch table; the pool's barrier then
- * separates observation from the (also parallel) per-column-group
- * accumulation merge. Determinism does not depend on the thread
- * count: every (sample, tile) task draws from its own counter-based
- * RNG stream (sc::detail::CounterStream) whose 8-byte seed mixes one
- * root draw per sample (taken from the caller's Rng in sample order)
- * with the tile coordinates. Consequences:
+ * Execution is threaded, batched and fused, the way the accumulation
+ * module consumes a column group's streams as the row tiles produce
+ * them. One parallel task covers a contiguous chunk of samples for one
+ * column group: for each row tile it computes the tile's column sums
+ * straight from the samples, fills only the columns an APC reads into a
+ * task-local word buffer, and then merges every (sample, column) across
+ * the row tiles while those words are still in cache. Tasks run on a
+ * util::ThreadPool — by default shard 0 of the process-wide
+ * util::ShardedExecutorPool, so any number of executors reuse one set
+ * of worker threads — about four per pool thread. Determinism does not
+ * depend on the thread count or the chunking: every (sample, tile)
+ * draws from its own counter-based RNG stream
+ * (sc::detail::CounterStream) whose 8-byte seed mixes one root draw
+ * per sample (taken from the caller's Rng in sample order) with the
+ * tile coordinates, and column c's window sits at counter c * L of
+ * that stream, exactly as in CrossbarArray::observeBatchSeeded.
+ * Consequences:
  *
  *  - any thread count, pool sharing arrangement, and SIMD dispatch arm
  *    produces bit-identical outputs, and
@@ -45,7 +50,6 @@
 #include "aqfp/ledger.h"
 #include "crossbar/mapper.h"
 #include "sc/accumulation.h"
-#include "sc/bitstream_batch.h"
 #include "util/thread_pool.h"
 
 namespace superbnn::crossbar {
@@ -68,6 +72,8 @@ class TileExecutor
      *                       sequential; N > 1 = a private pool of N
      *                       threads. Outputs are bit-identical across
      *                       all settings.
+     * @throws std::invalid_argument when @p window is 0 or
+     *         @p drop_fraction is not a finite value in [0, 1]
      */
     explicit TileExecutor(std::size_t window, bool use_exact_apc = false,
                           double drop_fraction = 0.25,
@@ -129,9 +135,11 @@ class TileExecutor
      * @param batch   +/-1 input vectors, each of length layer.fanIn
      * @param roots   one raw 64-bit root draw per sample
      * @param ledger  optional hardware-activity ledger
-     * @throws std::invalid_argument when roots.size() != batch.size()
-     *         or a sample's length is not layer.fanIn (checked in
-     *         every build, as in every forward overload)
+     * @throws std::invalid_argument when roots.size() != batch.size(),
+     *         a sample's length is not layer.fanIn, or an activation is
+     *         not -1, 0 or +1 (checked in every build, as in every
+     *         forward overload; the message names the sample, index
+     *         and value)
      */
     std::vector<std::vector<int>>
     forwardSeeded(const MappedLayer &layer,
@@ -160,8 +168,7 @@ class TileExecutor
     /**
      * Batched forwardDecoded with caller-supplied per-sample roots
      * (same per-request determinism contract as forwardSeeded).
-     * @throws std::invalid_argument when roots.size() != batch.size()
-     *         or a sample's length is not layer.fanIn
+     * @throws std::invalid_argument as forwardSeeded
      */
     std::vector<std::vector<double>>
     forwardDecodedSeeded(const MappedLayer &layer,
@@ -216,32 +223,23 @@ class TileExecutor
                      const std::function<void(std::size_t)> &task) const;
 
     /**
-     * Phase 1 of a (batched) forward: observe every (rowTile, colTile)
-     * tile for every sample into the scratch table, one task per tile.
-     * observed[rt * colTiles + ct][c] holds column c's BitstreamBatch.
-     * @p roots carries one pre-drawn per-sample root (the Rng-based
-     * overloads draw them in sample order before any parallel work).
-     * Each task counts its tile's activity into a slot of its own; the
-     * calling thread records the slots into @p ledger after the
-     * barrier.
+     * The fused forward shared by forward and forwardDecoded: one task
+     * per (sample chunk, column group) observes the group's row tiles
+     * and merges each (sample, column) across them; @p emit consumes
+     * each merged column. @p roots carries one pre-drawn root per
+     * sample (the Rng-based overloads draw them in sample order before
+     * any parallel work). While a task works through one row tile
+     * for a block of its samples, thresholds are memoized by (column,
+     * column sum), so each distinct pair pays one erf; this pays off
+     * where many samples share a tile (conv patches).
+     * Tile, merge and buffer activity are recorded into @p ledger after
+     * the barrier, in tile order and in closed form (they do not
+     * depend on values).
      */
     void
-    observeTiles(const MappedLayer &layer,
+    forwardFused(const MappedLayer &layer,
                  const std::vector<std::vector<int>> &batch,
                  const std::vector<std::uint64_t> &roots,
-                 std::vector<std::vector<sc::BitstreamBatch>> &observed,
-                 aqfp::HardwareLedger *ledger) const;
-
-    /**
-     * Phase 2: per-(sample, column group) accumulation merge shared by
-     * forward and forwardDecoded; @p emit consumes each merged column.
-     * Records merge activity and buffer traffic into @p ledger after
-     * the barrier, in closed form (it does not depend on values).
-     */
-    void
-    mergeColumns(const MappedLayer &layer, std::size_t samples,
-                 const std::vector<std::vector<sc::BitstreamBatch>>
-                     &observed,
                  const sc::AccumulationModule &accum,
                  aqfp::HardwareLedger *ledger,
                  const std::function<void(

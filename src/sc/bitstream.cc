@@ -46,33 +46,47 @@ constantFill(std::uint64_t *words, std::size_t length, bool ones)
 
 } // namespace
 
-void
-bernoulliFill(std::uint64_t *words, std::size_t length, double p,
-              CounterStream &stream)
+std::uint64_t
+thresholdFor(double p)
 {
-    if (length == 0)
-        return;
-    const std::uint64_t counter = stream.counter;
-    // Advance unconditionally: the words at a counter position must
-    // not depend on whether earlier streams happened to be constant
-    // (position stability — see the header contract).
-    stream.counter += length;
-    if (p <= 0.0) {
-        constantFill(words, length, false);
-        return;
-    }
-    if (p >= 1.0) {
-        constantFill(words, length, true);
-        return;
-    }
+    if (p <= 0.0)
+        return 0;
+    if (p >= 1.0)
+        return kOnesThreshold;
     // Fixed-point threshold: a raw 64-bit draw is below p * 2^64 with
     // probability p (to within 2^-64, far below the stream's own
     // sampling noise). p is strictly inside (0,1) here, so the product
     // stays below 2^64 and the cast is well defined.
-    const std::uint64_t threshold =
-        static_cast<std::uint64_t>(std::ldexp(p, 64));
-    simd::active().generateThresholdWords(words, length, stream.seed,
-                                          counter, threshold);
+    return static_cast<std::uint64_t>(std::ldexp(p, 64));
+}
+
+void
+thresholdFill(std::uint64_t *words, std::size_t length,
+              std::uint64_t threshold, std::uint64_t seed,
+              std::uint64_t counter)
+{
+    if (length == 0)
+        return;
+    // No draw is below 0, so threshold 0 (p <= 0, or p below 2^-64)
+    // is the all-zero stream.
+    if (threshold == 0 || threshold == kOnesThreshold) {
+        constantFill(words, length, threshold == kOnesThreshold);
+        return;
+    }
+    simd::active().generateThresholdWords(words, length, seed, counter,
+                                          threshold);
+}
+
+void
+bernoulliFill(std::uint64_t *words, std::size_t length, double p,
+              CounterStream &stream)
+{
+    thresholdFill(words, length, thresholdFor(p), stream.seed,
+                  stream.counter);
+    // Advance unconditionally: the words at a counter position must
+    // not depend on whether earlier streams happened to be constant
+    // (position stability — see the header contract).
+    stream.counter += length;
 }
 
 void

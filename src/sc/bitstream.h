@@ -89,6 +89,33 @@ void bernoulliFill(std::uint64_t *words, std::size_t length, double p,
                    CounterStream &stream);
 
 /**
+ * Tag of thresholdFor(p) for p >= 1: an all-ones fill. No real
+ * threshold reaches it (the largest double below 1 maps to
+ * 2^64 - 2^11); p <= 0 maps to threshold 0, whose fill is all zeros.
+ */
+constexpr std::uint64_t kOnesThreshold = ~std::uint64_t{0};
+
+/**
+ * The fixed-point Bernoulli threshold bernoulliFill compares draws
+ * against: 0 for p <= 0, kOnesThreshold for p >= 1, otherwise
+ * static_cast<uint64_t>(ldexp(p, 64)). Splitting it out lets a caller
+ * that fills many streams of one probability compute it once.
+ */
+std::uint64_t thresholdFor(double p);
+
+/**
+ * The fill half of bernoulliFill: @p length bits of the counter stream
+ * (@p seed, @p counter) against @p threshold (a thresholdFor value).
+ * Threshold 0 and kOnesThreshold write the constant streams without
+ * generating draws. bernoulliFill(words, length, p, stream) equals
+ * thresholdFill(words, length, thresholdFor(p), stream.seed,
+ * stream.counter) followed by advancing the counter by @p length.
+ */
+void thresholdFill(std::uint64_t *words, std::size_t length,
+                   std::uint64_t threshold, std::uint64_t seed,
+                   std::uint64_t counter);
+
+/**
  * Rng-seeded convenience overload: consumes exactly **one** raw draw
  * from @p rng as the seed of a fresh CounterStream (counter 0) and
  * fills from it; p <= 0 and p >= 1 write constant streams without

@@ -144,6 +144,46 @@ TEST(HardwarePlanValidation, ConfigFieldsThrowByName)
     }
 }
 
+TEST(HardwarePlanValidation, DropFractionMustBeAFiniteFraction)
+{
+    // Unchecked, a negative or NaN fraction reaches the APC's
+    // floor(pairs * f) size_t cast (UB), and 1.5 over-corrects the
+    // comparator bias.
+    for (const double bad :
+         {-0.5, 1.5, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        HardwareConfig cfg;
+        cfg.dropFraction = bad;
+        EXPECT_THROW(
+            {
+                try {
+                    cfg.validate();
+                } catch (const std::invalid_argument &e) {
+                    EXPECT_NE(
+                        std::string(e.what()).find("dropFraction"),
+                        std::string::npos);
+                    throw;
+                }
+            },
+            std::invalid_argument)
+            << bad;
+        EXPECT_THROW(HardwarePlan{cfg}, std::invalid_argument) << bad;
+        EXPECT_THROW(HardwareEvaluator(aqfp::AttenuationModel(), cfg),
+                     std::invalid_argument)
+            << bad;
+
+        HardwarePlan plan;
+        plan.dropFraction = bad;
+        EXPECT_THROW(plan.validate(), std::invalid_argument) << bad;
+    }
+    for (const double edge : {0.0, 1.0}) {
+        HardwareConfig cfg;
+        cfg.dropFraction = edge;
+        EXPECT_NO_THROW(cfg.validate()) << edge;
+        EXPECT_NO_THROW(HardwarePlan{cfg}) << edge;
+    }
+}
+
 TEST(HardwarePlanValidation, EvaluatorAndSweepRejectInvalidConfigs)
 {
     HardwareConfig bad;

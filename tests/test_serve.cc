@@ -444,6 +444,10 @@ TEST(InferenceService, AttributionExactUnderForeignEvaluation)
             ++foreign_calls;
         }
     });
+    // Start serving only once the foreign caller is running, so a
+    // loaded host cannot finish every request before its first call.
+    while (foreign_calls.load() == 0)
+        std::this_thread::yield();
 
     InferenceService service(*eval, quickConfig());
     std::vector<std::future<InferenceResponse>> futures;

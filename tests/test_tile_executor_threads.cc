@@ -14,10 +14,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
-
 
 #include "crossbar/crossbar_array.h"
 #include "crossbar/mapper.h"
@@ -538,6 +539,227 @@ TEST(ThreadedExecutorTest, WrongSizeSampleThrowsInEveryBuild)
                  std::invalid_argument);
     EXPECT_THROW(exec.forwardDecodedSeeded(layer, batch, {1, 2}),
                  std::invalid_argument);
+}
+
+TEST(ThreadedExecutorTest, ActivationOutsideTernaryThrowsInEveryBuild)
+{
+    // Checked in every build, not an assert: unchecked, an activation
+    // of 2 doubles its row's column current in Release.
+    Rng setup(50);
+    const MappedLayer layer = makeLayer(setup);
+    const TileExecutor exec(8, false, 0.25, 1);
+    std::vector<std::vector<int>> batch = {randomActs(24, setup),
+                                           randomActs(24, setup)};
+    batch[1][5] = 2;
+    for (const bool decoded : {false, true}) {
+        try {
+            if (decoded)
+                exec.forwardDecodedSeeded(layer, batch, {1, 2});
+            else
+                exec.forwardSeeded(layer, batch, {1, 2});
+            ADD_FAILURE() << "activation 2 was accepted";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("sample 1"), std::string::npos) << what;
+            EXPECT_NE(what.find("activation 5"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("is 2"), std::string::npos) << what;
+        }
+    }
+    batch[1][5] = -3;
+    Rng rng(3);
+    EXPECT_THROW(exec.forward(layer, batch, rng), std::invalid_argument);
+    batch[1][5] = 0; // an undriven padding row is valid
+    EXPECT_NO_THROW(exec.forwardSeeded(layer, batch, {1, 2}));
+}
+
+TEST(ThreadedExecutorTest, ConstructorRejectsZeroWindowAndBadDropFraction)
+{
+    // A zero window used to reach the decoded readout's divide by L
+    // (NaN scores); a drop fraction outside [0, 1] the APC's size_t
+    // cast of floor(pairs * f).
+    EXPECT_THROW(TileExecutor(0), std::invalid_argument);
+    EXPECT_THROW(TileExecutor(0, true, 0.25, 1), std::invalid_argument);
+    for (const double bad :
+         {-0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_THROW(TileExecutor(8, false, bad, 1), std::invalid_argument)
+            << bad;
+        EXPECT_THROW(TileExecutor(8, true, bad, 1), std::invalid_argument)
+            << bad;
+    }
+    EXPECT_NO_THROW(TileExecutor(8, false, 0.0, 1));
+    EXPECT_NO_THROW(TileExecutor(8, false, 1.0, 1));
+}
+
+// --- fused executor against the two-phase reference ---
+
+namespace {
+
+std::uint64_t
+referenceMix(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/** The executor's per-(sample, tile) stream seed. */
+std::uint64_t
+referenceTileSeed(std::uint64_t root, std::size_t rt, std::size_t ct)
+{
+    return referenceMix(
+        root
+        ^ referenceMix((static_cast<std::uint64_t>(rt) << 32)
+                       ^ (static_cast<std::uint64_t>(ct) + 1)));
+}
+
+struct ReferenceForward
+{
+    std::vector<std::vector<int>> bits;
+    std::vector<std::vector<double>> decoded;
+    aqfp::HardwareLedger ledger;
+};
+
+/**
+ * One layer forward the two-phase way, from public calls only: every
+ * (rowTile, colTile) observes all Cs columns of every sample with
+ * observeBatchSeeded (its counts read back from the counter streams),
+ * then every (sample, column) is merged across the row tiles.
+ */
+ReferenceForward
+referenceForward(const MappedLayer &layer,
+                 const std::vector<std::vector<int>> &batch,
+                 const std::vector<std::uint64_t> &roots,
+                 std::size_t window, bool exact, double drop)
+{
+    const std::size_t samples = batch.size();
+    ReferenceForward ref;
+    ref.bits.assign(samples, std::vector<int>(layer.fanOut));
+    ref.decoded.assign(samples, std::vector<double>(layer.fanOut));
+    ref.ledger.beginForward(layer.rowTiles, layer.colTiles, samples);
+    std::vector<std::vector<sc::BitstreamBatch>> observed;
+    for (std::size_t rt = 0; rt < layer.rowTiles; ++rt) {
+        const std::size_t r0 = rt * layer.cs;
+        const std::size_t rows = std::min(layer.cs, layer.fanIn - r0);
+        std::vector<std::vector<int>> slices;
+        for (const auto &sample : batch)
+            slices.emplace_back(sample.begin() + r0,
+                                sample.begin() + r0 + rows);
+        for (std::size_t ct = 0; ct < layer.colTiles; ++ct) {
+            std::vector<std::uint64_t> seeds;
+            for (const std::uint64_t root : roots)
+                seeds.push_back(referenceTileSeed(root, rt, ct));
+            aqfp::TileCounts counts;
+            observed.push_back(layer.tile(rt, ct).observeBatchSeeded(
+                slices, window, seeds, &counts));
+            ref.ledger.recordTile(rt, ct, counts);
+        }
+    }
+    const sc::AccumulationModule accum(layer.rowTiles, window, exact,
+                                       drop);
+    std::vector<sc::StreamView> column(layer.rowTiles);
+    for (std::size_t b = 0; b < samples; ++b)
+        for (std::size_t o = 0; o < layer.fanOut; ++o) {
+            const std::size_t ct = o / layer.cs;
+            for (std::size_t rt = 0; rt < layer.rowTiles; ++rt)
+                column[rt] = observed[rt * layer.colTiles + ct]
+                                     [o % layer.cs]
+                                         .view(b);
+            ref.bits[b][o] = accum.accumulate(column);
+            ref.decoded[b][o] = accum.decodedSum(column);
+        }
+    const std::uint64_t merges =
+        static_cast<std::uint64_t>(samples) * layer.fanOut;
+    ref.ledger.recordMerge(merges, merges * accum.mergeInputBits(),
+                           static_cast<std::uint64_t>(samples)
+                               * layer.colTiles * window);
+    ref.ledger.recordBuffer(
+        static_cast<std::uint64_t>(samples) * layer.fanIn, merges);
+    return ref;
+}
+
+} // namespace
+
+TEST(FusedExecutorTest, MatchesTwoPhaseReferenceAcrossGeometries)
+{
+    // Seeded geometries: fan-in below, at and across tile edges; a
+    // partial last column group; every window length class (one bit,
+    // sub-word, exactly one word, one bit past a word); batch sizes
+    // that straddle chunk edges at 1, 3 and 4 threads.
+    const std::size_t windows[] = {1, 7, 64, 65};
+    const std::size_t batches[] = {1, 2, 31, 257};
+    std::size_t saturatedLow = 0, saturatedHigh = 0;
+    std::size_t geometry = 0;
+    for (const std::size_t cs : {4u, 16u, 72u}) {
+        for (const std::size_t fanIn :
+             {std::size_t{1}, cs - 1, cs + 1, 3 * cs + 5}) {
+            const std::size_t window = windows[geometry % 4];
+            const std::size_t samples =
+                batches[(geometry + geometry / 4) % 4];
+            const bool exact = geometry % 2 == 1;
+            const double drop = exact ? 0.25 : 0.5;
+            const std::size_t fanOut = cs + cs / 2 + 1;
+            Rng rng(1000 + geometry);
+            ++geometry;
+
+            const CrossbarMapper mapper(cs, atten(), 2.4);
+            MappedLayer layer =
+                mapper.map(randomSignedMatrix(fanOut, fanIn, rng));
+            std::vector<double> vth(fanOut);
+            for (std::size_t o = 0; o < fanOut; ++o)
+                vth[o] = o % 5 == 0   ? 1e6   // p saturates to exactly 0
+                    : o % 5 == 1      ? -1e6  // ... and to exactly 1
+                                      : rng.normal() * 2.0;
+            CrossbarMapper::setThresholds(layer, vth);
+            for (std::size_t t = 0; t < layer.tileCount(); ++t) {
+                layer.tiles[t].injectStuckCellsSeeded(0.1, 77 + t);
+                layer.tiles[t].applyGrayZoneVariation(0.3, rng);
+            }
+
+            std::vector<std::vector<int>> batch(samples);
+            std::vector<std::uint64_t> roots(samples);
+            for (std::size_t b = 0; b < samples; ++b) {
+                for (std::size_t i = 0; i < fanIn; ++i) {
+                    const double u = rng.uniform();
+                    batch[b].push_back(u < 0.2 ? 0 : u < 0.6 ? -1 : 1);
+                }
+                roots[b] = rng.raw()();
+                const auto probs =
+                    layer.tile(0, 0).columnProbabilities(batch[b]);
+                for (const double p : probs) {
+                    saturatedLow += p == 0.0;
+                    saturatedHigh += p == 1.0;
+                }
+            }
+
+            const ReferenceForward ref =
+                referenceForward(layer, batch, roots, window, exact, drop);
+            for (const std::size_t threads : {1u, 3u, 4u}) {
+                SCOPED_TRACE("Cs " + std::to_string(cs) + " fanIn "
+                             + std::to_string(fanIn) + " L "
+                             + std::to_string(window) + " batch "
+                             + std::to_string(samples) + " exact "
+                             + std::to_string(exact) + " threads "
+                             + std::to_string(threads));
+                const TileExecutor exec(window, exact, drop, threads);
+                aqfp::HardwareLedger ledger;
+                EXPECT_EQ(exec.forwardSeeded(layer, batch, roots, &ledger),
+                          ref.bits);
+                EXPECT_EQ(ledger.totals(), ref.ledger.totals());
+                for (std::size_t rt = 0; rt < layer.rowTiles; ++rt)
+                    for (std::size_t ct = 0; ct < layer.colTiles; ++ct)
+                        EXPECT_EQ(ledger.tile(rt, ct),
+                                  ref.ledger.tile(rt, ct));
+                // Decoded values are compared exactly: both sides
+                // decode the same integer count.
+                EXPECT_EQ(exec.forwardDecodedSeeded(layer, batch, roots),
+                          ref.decoded);
+            }
+        }
+    }
+    EXPECT_GT(saturatedLow, 0u);
+    EXPECT_GT(saturatedHigh, 0u);
 }
 
 TEST(ThreadedExecutorTest, EmptyBatchIsANoOp)

@@ -1,13 +1,49 @@
 #include "core/randomized_binarize.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/bn_matching.h"
 
 namespace superbnn::core {
 
 namespace {
+
 constexpr double kSqrtPi = 1.7724538509055160273;
+
+/** Integral partials within this distance of zero are memoized. */
+constexpr int kMemoRadius = 64;
+constexpr std::size_t kMemoSpan = 2 * kMemoRadius + 1;
+
+/**
+ * f(s) for a tile partial s, through a kMemoSpan-slot @p table (NaN =
+ * not yet computed): +/-1 activations and weights make every partial
+ * an integer, so the same few values repeat across a batch. A slot
+ * keys the exact value of s (-0 and +0 share one, which the
+ * probability maps alike), so a memoized result is bit-identical to
+ * computing f(s) again.
+ */
+template <typename F>
+double
+memoized(double *table, float s, const F &f)
+{
+    if (!(s >= -kMemoRadius && s <= kMemoRadius))
+        return f(s);
+    const int si = static_cast<int>(s);
+    if (static_cast<float>(si) != s)
+        return f(s);
+    double &slot = table[si + kMemoRadius];
+    if (std::isnan(slot))
+        slot = f(s);
+    return slot;
+}
+
+/** Elements per CellBinarize probability chunk. */
+constexpr std::size_t kDrawChunk = 64;
+
+
 } // namespace
 
 RandomizedBinarize::RandomizedBinarize(const AqfpBehavior &behavior,
@@ -127,23 +163,72 @@ CellBinarize::forwardTiled(const Tensor &input, bool training)
         folded = foldBatchNorm(*bn_, alpha_->value);
     }
     const std::size_t t_count = tiles_->tileCount();
+    const std::size_t e = input.size();
+    const float *partials = tiles_->tilePartials().data();
+    assert(tiles_->tilePartials().size() == t_count * e);
     const double share = 1.0 / static_cast<double>(t_count);
+    std::vector<double> vth_share(bn_->channels());
+    for (std::size_t c = 0; c < vth_share.size(); ++c)
+        vth_share[c] = folded.vth[c] * share;
+    std::vector<double> memo(bn_->channels() * kMemoSpan,
+                             std::numeric_limits<double>::quiet_NaN());
+    // Elements go a chunk at a time: gather every tile's probability,
+    // reading each tile's partials contiguously; settle the saturated
+    // tiles (p <= 0 or p >= 1, which Rng::bernoulli decides without a
+    // draw) branch-free; then make the remaining draws in element-major
+    // order, the exact Rng calls of a per-element loop. Channels are
+    // stepped element by element (NCHW or NC order), not divided out.
+    const std::size_t channels = input.dim(1);
+    const std::size_t plane =
+        input.rank() == 4 ? input.dim(2) * input.dim(3) : 1;
+    std::size_t ch = 0, pos = 0;
+    std::size_t chan[kDrawChunk], ones[kDrawChunk];
+    std::vector<double> probs(kDrawChunk * t_count);
+    std::vector<double> draw_p(kDrawChunk * t_count);
+    std::vector<std::size_t> draw_elem(kDrawChunk * t_count);
     Tensor out(input.shape());
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        const std::size_t c = channelOf(input.shape(), i);
-        const double vth_share = folded.vth[c] * share;
-        std::size_t ones = 0;
-        for (std::size_t t = 0; t < t_count; ++t) {
-            const double s_t = tiles_->tilePartial(t, input.shape(), i);
-            const double p = 0.5
-                + 0.5 * std::erf(kSqrtPi * (s_t - vth_share)
-                                 / deltaVin_);
-            ones += rng_->bernoulli(p) ? 1 : 0;
+    for (std::size_t c0 = 0; c0 < e; c0 += kDrawChunk) {
+        const std::size_t len = std::min(kDrawChunk, e - c0);
+        for (std::size_t j = 0; j < len; ++j) {
+            chan[j] = ch;
+            if (++pos == plane) {
+                pos = 0;
+                ch = ch + 1 == channels ? 0 : ch + 1;
+            }
         }
-        int v = (2 * ones >= t_count) ? 1 : -1;
-        if (folded.flip[c])
-            v = -v;
-        out[i] = static_cast<float>(v);
+        for (std::size_t t = 0; t < t_count; ++t) {
+            const float *row = partials + t * e + c0;
+            for (std::size_t j = 0; j < len; ++j) {
+                const double vth = vth_share[chan[j]];
+                probs[j * t_count + t] = memoized(
+                    memo.data() + chan[j] * kMemoSpan, row[j],
+                    [&](double s_t) {
+                        return 0.5
+                            + 0.5 * std::erf(kSqrtPi * (s_t - vth)
+                                             / deltaVin_);
+                    });
+            }
+        }
+        std::size_t draws = 0;
+        for (std::size_t j = 0; j < len; ++j) {
+            ones[j] = 0;
+            for (std::size_t t = 0; t < t_count; ++t) {
+                const double p = probs[j * t_count + t];
+                ones[j] += p >= 1.0;
+                draw_p[draws] = p;
+                draw_elem[draws] = j;
+                draws += static_cast<std::size_t>(!(p <= 0.0))
+                    & static_cast<std::size_t>(!(p >= 1.0));
+            }
+        }
+        for (std::size_t d = 0; d < draws; ++d)
+            ones[draw_elem[d]] += rng_->bernoulli(draw_p[d]) ? 1 : 0;
+        for (std::size_t j = 0; j < len; ++j) {
+            int v = (2 * ones[j] >= t_count) ? 1 : -1;
+            if (folded.flip[chan[j]])
+                v = -v;
+            out[c0 + j] = static_cast<float>(v);
+        }
     }
     return out;
 }
@@ -216,14 +301,16 @@ HeadReadout::forward(const Tensor &input, bool training)
     assert(input.rank() == 2);
     assert(input.dim(1) == alpha_->value.size());
     const std::size_t t_count = tiles_->tileCount();
+    const std::size_t e = input.size();
+    const float *partials = tiles_->tilePartials().data();
+    assert(tiles_->tilePartials().size() == t_count * e);
     Tensor out(input.shape());
     Tensor slope(input.shape());
-    for (std::size_t i = 0; i < input.size(); ++i) {
+    for (std::size_t i = 0; i < e; ++i) {
         const std::size_t c = i % input.dim(1);
         double acc = 0.0, dacc = 0.0;
         for (std::size_t t = 0; t < t_count; ++t) {
-            const double s_t =
-                tiles_->tilePartial(t, input.shape(), i);
+            const double s_t = partials[t * e + i];
             acc += std::erf(kSqrtPi * s_t / deltaVin_);
             const double z = s_t / surrogateWidth_;
             dacc += std::exp(-M_PI * z * z);

@@ -1,10 +1,16 @@
 #include "core/trainer.h"
 
 #include <cstdio>
+#include <stdexcept>
 
 namespace superbnn::core {
 
-Trainer::Trainer(TrainConfig config) : cfg(config) {}
+Trainer::Trainer(TrainConfig config) : cfg(config)
+{
+    if (cfg.batchSize == 0)
+        throw std::invalid_argument(
+            "Trainer: TrainConfig::batchSize must be positive");
+}
 
 TrainResult
 Trainer::train(BnnModel &model, const data::Dataset &train_set,
@@ -56,6 +62,9 @@ double
 Trainer::evaluate(BnnModel &model, const data::Dataset &dataset,
                   std::size_t max_samples, std::size_t batch_size)
 {
+    if (batch_size == 0)
+        throw std::invalid_argument(
+            "Trainer::evaluate: batch_size must be positive");
     data::DataLoader loader(dataset, batch_size);
     std::size_t seen = 0, correct = 0;
     const std::size_t cap =

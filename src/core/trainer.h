@@ -50,6 +50,10 @@ struct TrainResult
 class Trainer
 {
   public:
+    /**
+     * @throws std::invalid_argument when config.batchSize is 0; tau
+     *         outside [0.5, 1] throws from train()'s ReCUSchedule
+     */
     explicit Trainer(TrainConfig config = {});
 
     /** Train @p model; evaluates on @p test after every epoch. */
@@ -61,6 +65,7 @@ class Trainer
      * activations sample, faithful to the device) and measure accuracy.
      *
      * @param max_samples cap on evaluated samples (0 = all)
+     * @throws std::invalid_argument when @p batch_size is 0
      */
     static double evaluate(BnnModel &model, const data::Dataset &dataset,
                            std::size_t max_samples = 0,

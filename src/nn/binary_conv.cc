@@ -1,5 +1,6 @@
 #include "nn/binary_conv.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -22,7 +23,11 @@ BinaryConv2d::BinaryConv2d(std::size_t in_channels,
                            std::size_t out_channels, std::size_t kernel,
                            std::size_t stride, std::size_t padding,
                            Rng &rng, std::size_t tile_size)
-    : inC(in_channels), outC(out_channels), spec_{kernel, stride, padding},
+    : TilePartialSource(tile_size == 0
+                            ? 1
+                            : (in_channels * kernel * kernel + tile_size
+                               - 1) / tile_size),
+      inC(in_channels), outC(out_channels), spec_{kernel, stride, padding},
       tileSize(tile_size),
       weight_(Tensor::kaiming({out_channels, in_channels, kernel, kernel},
                               rng, in_channels * kernel * kernel)),
@@ -68,30 +73,10 @@ BinaryConv2d::forward(const Tensor &input, bool training)
 
     Tensor cols = im2col(input, spec_);
     Tensor wb = signOf(weight_.value.reshaped({outC, patch}));
-    Tensor s = matmul(wb, cols); // (O, N*oh*ow)
-
-    if (tileSize > 0) {
-        // Per-row-tile partial sums over the flattened patch, recorded
-        // for tile-aware binarization in every mode.
-        const std::size_t tiles = tileCount();
-        const std::size_t m = cols.dim(1);
-        cachedPartials = Tensor({tiles, outC, m});
-        for (std::size_t t = 0; t < tiles; ++t) {
-            const std::size_t lo = t * tileSize;
-            const std::size_t hi = std::min(lo + tileSize, patch);
-            for (std::size_t o = 0; o < outC; ++o) {
-                const float *w = wb.data() + o * patch;
-                float *dst =
-                    cachedPartials.data() + (t * outC + o) * m;
-                for (std::size_t k = lo; k < hi; ++k) {
-                    const float wk = w[k];
-                    const float *crow = cols.data() + k * m;
-                    for (std::size_t p = 0; p < m; ++p)
-                        dst[p] += wk * crow[p];
-                }
-            }
-        }
-    }
+    // Per-row-tile partial sums over the flattened patch, recorded for
+    // tile-aware binarization in every mode.
+    Tensor s = tileSize > 0 ? preScaleWithPartials(cols, wb, n)
+                            : matmul(wb, cols); // (O, N*oh*ow)
 
     Tensor out({n, outC, oh, ow});
     const std::size_t plane = oh * ow;
@@ -157,27 +142,42 @@ BinaryConv2d::backward(const Tensor &grad_output)
     return col2im(dcols, cachedInputShape, spec_);
 }
 
-std::size_t
-BinaryConv2d::tileCount() const
+Tensor
+BinaryConv2d::preScaleWithPartials(const Tensor &cols, const Tensor &wb,
+                                   std::size_t n)
 {
-    if (tileSize == 0)
-        return 1;
-    const std::size_t patch = inC * spec_.kernel * spec_.kernel;
-    return (patch + tileSize - 1) / tileSize;
-}
-
-float
-BinaryConv2d::tilePartial(std::size_t tile, const Shape &act_shape,
-                          std::size_t flat) const
-{
-    assert(tileSize > 0 && !cachedPartials.empty());
-    assert(act_shape.size() == 4 && act_shape[1] == outC);
-    const std::size_t plane = act_shape[2] * act_shape[3];
-    const std::size_t m = cachedPartials.dim(2);
-    const std::size_t pos = flat % plane;
-    const std::size_t o = (flat / plane) % outC;
-    const std::size_t n_idx = flat / (plane * outC);
-    return cachedPartials[(tile * outC + o) * m + n_idx * plane + pos];
+    const std::size_t patch = cols.dim(0);
+    const std::size_t m = cols.dim(1);
+    const std::size_t plane = m / n;
+    Tensor s({outC, m});
+    partials_ = Tensor({tileCount(), m * outC});
+    // One task per (channel o, image ni): s and each tile's partial
+    // accumulate the same products in patch order, as matmul and a
+    // per-tile loop would (wb is +/-1, so matmul never skips a term).
+    parallelRowBlocks(outC * n, patch * plane,
+                      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t u = lo; u < hi; ++u) {
+            const std::size_t o = u / n, ni = u % n;
+            const float *w = wb.data() + o * patch;
+            float *srow = s.data() + o * m + ni * plane;
+            for (std::size_t k0 = 0, t = 0; k0 < patch;
+                 k0 += tileSize, ++t) {
+                float *part = partials_.data() + t * m * outC
+                    + (ni * outC + o) * plane;
+                const std::size_t k1 = std::min(k0 + tileSize, patch);
+                for (std::size_t k = k0; k < k1; ++k) {
+                    const float wk = w[k];
+                    const float *crow = cols.data() + k * m + ni * plane;
+                    for (std::size_t p = 0; p < plane; ++p) {
+                        const float v = wk * crow[p];
+                        part[p] += v;
+                        srow[p] += v;
+                    }
+                }
+            }
+        }
+    });
+    return s;
 }
 
 std::vector<Parameter *>

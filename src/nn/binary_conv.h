@@ -19,7 +19,8 @@ class BinaryConv2d : public Module, public TilePartialSource
     /**
      * @param tile_size  crossbar row-tile extent over the flattened
      *                   C*k*k patch; non-zero enables per-tile partial
-     *                   recording (TilePartialSource)
+     *                   recording (TilePartialSource, E = N * O * oh * ow
+     *                   in NCHW order)
      */
     BinaryConv2d(std::size_t in_channels, std::size_t out_channels,
                  std::size_t kernel, std::size_t stride,
@@ -57,12 +58,15 @@ class BinaryConv2d : public Module, public TilePartialSource
     std::size_t inChannels() const { return inC; }
     std::size_t outChannels() const { return outC; }
 
-    // TilePartialSource
-    std::size_t tileCount() const override;
-    float tilePartial(std::size_t tile, const Shape &act_shape,
-                      std::size_t flat) const override;
-
   private:
+    /**
+     * s = wb * cols and every tile partial in one pass over the patch,
+     * on the shared pool by (output channel, image); returns s, fills
+     * partials_.
+     */
+    Tensor preScaleWithPartials(const Tensor &cols, const Tensor &wb,
+                                std::size_t n);
+
     std::size_t inC, outC;
     Conv2dSpec spec_;
     std::size_t tileSize;
@@ -71,7 +75,6 @@ class BinaryConv2d : public Module, public TilePartialSource
     Tensor cachedCols;
     Tensor cachedBinWeight;  // (O, patch)
     Tensor cachedPreScale;   // (O, N*oh*ow)
-    Tensor cachedPartials;   // (T, O, N*oh*ow) when tiling enabled
     Shape cachedInputShape;
 };
 

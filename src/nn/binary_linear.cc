@@ -1,5 +1,6 @@
 #include "nn/binary_linear.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -18,12 +19,53 @@ signOf(const Tensor &w)
     return out;
 }
 
+/**
+ * C output columns of one sample row x, with wt pointing at the first
+ * column's weights in the transposed (in, ldw) weight matrix: the double
+ * pre-scale sums go to s[0..C), each tile's float partial to
+ * part[t * stride + 0..C). Every column keeps its own accumulators and
+ * sums k in order, so the floats equal matmulTransposedB's and a
+ * per-tile scalar loop's; blocking columns only lets their independent
+ * chains (and the weight widening) share vector lanes.
+ */
+template <std::size_t C>
+void
+columnBlock(const float *x, const float *wt, std::size_t ldw,
+            std::size_t in, std::size_t tile, float *s, float *part,
+            std::size_t stride)
+{
+    double acc[C] = {};
+    for (std::size_t lo = 0, t = 0; lo < in; lo += tile, ++t) {
+        const std::size_t hi = std::min(lo + tile, in);
+        float tacc[C] = {};
+        for (std::size_t k = lo; k < hi; ++k) {
+            const float xk = x[k];
+            const double xd = xk;
+            const float *wk = wt + k * ldw;
+            double wd[C];
+            for (std::size_t c = 0; c < C; ++c)
+                wd[c] = wk[c];
+            for (std::size_t c = 0; c < C; ++c)
+                acc[c] += xd * wd[c];
+            for (std::size_t c = 0; c < C; ++c)
+                tacc[c] += xk * wk[c];
+        }
+        for (std::size_t c = 0; c < C; ++c)
+            part[t * stride + c] = tacc[c];
+    }
+    for (std::size_t c = 0; c < C; ++c)
+        s[c] = static_cast<float>(acc[c]);
+}
+
 } // namespace
 
 BinaryLinear::BinaryLinear(std::size_t in_features,
                            std::size_t out_features, Rng &rng,
                            std::size_t tile_size)
-    : inF(in_features), outF(out_features), tileSize(tile_size),
+    : TilePartialSource(tile_size == 0
+                            ? 1
+                            : (in_features + tile_size - 1) / tile_size),
+      inF(in_features), outF(out_features), tileSize(tile_size),
       weight_(Tensor::kaiming({out_features, in_features}, rng,
                               in_features)),
       alpha_(Tensor({out_features}))
@@ -61,30 +103,12 @@ BinaryLinear::forward(const Tensor &input, bool training)
 {
     assert(input.rank() == 2 && input.dim(1) == inF);
     Tensor wb = signOf(weight_.value);
-    Tensor s = matmulTransposedB(input, wb); // (N, out)
+    // Per-row-tile partial sums for tile-aware binarization; the
+    // downstream CellBinarize reads these in both modes, so they are
+    // recorded for inference passes too.
+    Tensor s = tileSize > 0 ? preScaleWithPartials(input, wb)
+                            : matmulTransposedB(input, wb); // (N, out)
     const std::size_t n = s.dim(0);
-
-    if (tileSize > 0) {
-        // Per-row-tile partial sums for tile-aware binarization; the
-        // downstream CellBinarize reads these in both modes, so they
-        // are recorded for inference passes too.
-        const std::size_t tiles = tileCount();
-        cachedPartials = Tensor({tiles, n, outF});
-        for (std::size_t t = 0; t < tiles; ++t) {
-            const std::size_t lo = t * tileSize;
-            const std::size_t hi = std::min(lo + tileSize, inF);
-            for (std::size_t i = 0; i < n; ++i) {
-                const float *x = input.data() + i * inF;
-                for (std::size_t j = 0; j < outF; ++j) {
-                    const float *w = wb.data() + j * inF;
-                    float acc = 0.0f;
-                    for (std::size_t k = lo; k < hi; ++k)
-                        acc += x[k] * w[k];
-                    cachedPartials[(t * n + i) * outF + j] = acc;
-                }
-            }
-        }
-    }
 
     Tensor out(s.shape());
     for (std::size_t i = 0; i < n; ++i)
@@ -98,23 +122,32 @@ BinaryLinear::forward(const Tensor &input, bool training)
     return out;
 }
 
-std::size_t
-BinaryLinear::tileCount() const
+Tensor
+BinaryLinear::preScaleWithPartials(const Tensor &input, const Tensor &wb)
 {
-    if (tileSize == 0)
-        return 1;
-    return (inF + tileSize - 1) / tileSize;
-}
-
-float
-BinaryLinear::tilePartial(std::size_t tile, const Shape &act_shape,
-                          std::size_t flat) const
-{
-    assert(tileSize > 0 && !cachedPartials.empty());
-    assert(act_shape.size() == 2 && act_shape[1] == outF);
-    const std::size_t n = act_shape[0];
-    assert(flat < n * outF);
-    return cachedPartials[tile * n * outF + flat];
+    const std::size_t n = input.dim(0);
+    const std::size_t stride = n * outF;
+    Tensor wt({inF, outF});
+    for (std::size_t j = 0; j < outF; ++j)
+        for (std::size_t k = 0; k < inF; ++k)
+            wt[k * outF + j] = wb[j * inF + k];
+    Tensor s({n, outF});
+    partials_ = Tensor({tileCount(), stride});
+    parallelRowBlocks(n, inF * outF, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            const float *x = input.data() + i * inF;
+            float *srow = s.data() + i * outF;
+            float *prow = partials_.data() + i * outF;
+            std::size_t j = 0;
+            for (; j + 8 <= outF; j += 8)
+                columnBlock<8>(x, wt.data() + j, outF, inF, tileSize,
+                               srow + j, prow + j, stride);
+            for (; j < outF; ++j)
+                columnBlock<1>(x, wt.data() + j, outF, inF, tileSize,
+                               srow + j, prow + j, stride);
+        }
+    });
+    return s;
 }
 
 Tensor

@@ -23,7 +23,8 @@ class BinaryLinear : public Module, public TilePartialSource
     /**
      * @param tile_size  crossbar row-tile extent; when non-zero the
      *                   layer records per-tile partial sums each forward
-     *                   (TilePartialSource) for tile-aware binarization
+     *                   (TilePartialSource, E = N * out) for tile-aware
+     *                   binarization
      */
     BinaryLinear(std::size_t in_features, std::size_t out_features,
                  Rng &rng, std::size_t tile_size = 0);
@@ -54,12 +55,13 @@ class BinaryLinear : public Module, public TilePartialSource
     std::size_t inFeatures() const { return inF; }
     std::size_t outFeatures() const { return outF; }
 
-    // TilePartialSource
-    std::size_t tileCount() const override;
-    float tilePartial(std::size_t tile, const Shape &act_shape,
-                      std::size_t flat) const override;
-
   private:
+    /**
+     * s = x * wb^T and every tile partial in one pass over k, on the
+     * shared pool by sample rows; returns s, fills partials_.
+     */
+    Tensor preScaleWithPartials(const Tensor &input, const Tensor &wb);
+
     std::size_t inF, outF;
     std::size_t tileSize;
     Parameter weight_;  // real-valued shadow weights (out, in)
@@ -67,7 +69,6 @@ class BinaryLinear : public Module, public TilePartialSource
     Tensor cachedInput;
     Tensor cachedBinWeight;
     Tensor cachedPreScale;  // s = x * wb^T before alpha
-    Tensor cachedPartials;  // (T, N, out) when tiling enabled
 };
 
 } // namespace superbnn::nn

@@ -89,28 +89,36 @@ Tensor stackSamples(const std::vector<Tensor> &samples);
 std::vector<Tensor> splitBatch(const Tensor &batch);
 
 /**
- * Interface of layers that expose per-crossbar-tile partial sums.
+ * Per-crossbar-tile partial sums recorded by a binary layer.
  *
  * A binary layer whose fan-in exceeds one crossbar is physically split
  * into row tiles; each tile's column neuron only ever sees its *own*
  * partial sum. Tile-aware randomized binarization (the hardware-faithful
  * training mode) therefore needs the partial sums, not just the total.
+ *
+ * The layer's forward pass writes them in one layout that the readers
+ * (CellBinarize, HeadReadout) index directly: a (T, E) tensor whose row
+ * t holds tile t's partial for each of the E elements of the layer's
+ * output, in that tensor's flat order.
  */
 class TilePartialSource
 {
   public:
-    virtual ~TilePartialSource() = default;
-
     /** Number of row tiles T (1 when tiling is disabled). */
-    virtual std::size_t tileCount() const = 0;
+    std::size_t tileCount() const { return tiles_; }
 
     /**
-     * Partial sum of tile @p tile for the activation element at flat
-     * index @p flat of the layer's output tensor of shape @p act_shape.
-     * Only valid after a forward pass.
+     * The (T, E) partials of the last forward pass; empty before the
+     * first one and when tiling is disabled.
      */
-    virtual float tilePartial(std::size_t tile, const Shape &act_shape,
-                              std::size_t flat) const = 0;
+    const Tensor &tilePartials() const { return partials_; }
+
+  protected:
+    explicit TilePartialSource(std::size_t tiles) : tiles_(tiles) {}
+    ~TilePartialSource() = default;
+
+    std::size_t tiles_;
+    Tensor partials_;
 };
 
 } // namespace superbnn::nn

@@ -23,6 +23,8 @@ namespace superbnn::nn {
 /**
  * Empirical quantile of the tensor's values (linear interpolation).
  * @param q in [0, 1]
+ * @throws std::invalid_argument for an empty tensor, or q outside
+ *         [0, 1] or NaN
  */
 float quantile(const Tensor &values, double q);
 
@@ -32,6 +34,7 @@ float quantile(const Tensor &values, double q);
  * with Q the empirical quantile of @p weights.
  *
  * @return the pair of clamp bounds used (low, high)
+ * @throws std::invalid_argument for tau outside [0.5, 1] or NaN
  */
 std::pair<float, float> applyReCU(Tensor &weights, double tau);
 

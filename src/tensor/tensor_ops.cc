@@ -4,7 +4,52 @@
 #include <cmath>
 #include <limits>
 
+#include "util/sharded_executor_pool.h"
+
 namespace superbnn {
+
+namespace {
+
+/** Minimum multiply-adds per parallelRowBlocks block. */
+constexpr std::size_t kMinBlockWork = std::size_t{1} << 15;
+
+/**
+ * out[c] = sum_kk a[kk] * b[c * k + kk] for c < C, each in its own
+ * double accumulator summing kk in order; blocking C rows of b only
+ * interleaves their independent add chains.
+ */
+template <std::size_t C>
+void
+dotBlock(const float *a, const float *b, std::size_t k, float *out)
+{
+    double acc[C] = {};
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        const double x = a[kk];
+        for (std::size_t c = 0; c < C; ++c)
+            acc[c] += x * b[c * k + kk];
+    }
+    for (std::size_t c = 0; c < C; ++c)
+        out[c] = static_cast<float>(acc[c]);
+}
+
+} // namespace
+
+void
+parallelRowBlocks(std::size_t rows, std::size_t work_per_row,
+                  const std::function<void(std::size_t, std::size_t)> &body)
+{
+    const std::size_t per_row = std::max<std::size_t>(work_per_row, 1);
+    const std::size_t block = (kMinBlockWork + per_row - 1) / per_row;
+    const std::size_t blocks = (rows + block - 1) / block;
+    if (blocks <= 1) {
+        if (rows > 0)
+            body(0, rows);
+        return;
+    }
+    util::parallelForThreads(0, blocks, [&](std::size_t b) {
+        body(b * block, std::min(rows, (b + 1) * block));
+    });
+}
 
 Tensor
 matmul(const Tensor &a, const Tensor &b)
@@ -17,17 +62,19 @@ matmul(const Tensor &a, const Tensor &b)
     const float *pb = b.data();
     float *pc = c.data();
     // ikj loop order keeps the inner loop contiguous over B and C rows.
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const float aik = pa[i * k + kk];
-            if (aik == 0.0f)
-                continue;
-            const float *brow = pb + kk * n;
-            float *crow = pc + i * n;
-            for (std::size_t j = 0; j < n; ++j)
-                crow[j] += aik * brow[j];
+    parallelRowBlocks(m, k * n, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                const float aik = pa[i * k + kk];
+                if (aik == 0.0f)
+                    continue;
+                const float *brow = pb + kk * n;
+                float *crow = pc + i * n;
+                for (std::size_t j = 0; j < n; ++j)
+                    crow[j] += aik * brow[j];
+            }
         }
-    }
+    });
     return c;
 }
 
@@ -41,16 +88,21 @@ matmulTransposedB(const Tensor &a, const Tensor &b)
     const float *pa = a.data();
     const float *pb = b.data();
     float *pc = c.data();
-    for (std::size_t i = 0; i < m; ++i) {
-        const float *arow = pa + i * k;
-        for (std::size_t j = 0; j < n; ++j) {
-            const float *brow = pb + j * k;
-            double acc = 0.0;
-            for (std::size_t kk = 0; kk < k; ++kk)
-                acc += static_cast<double>(arow[kk]) * brow[kk];
-            pc[i * n + j] = static_cast<float>(acc);
+    // Units of one row by four columns, so a product with few rows (a
+    // convolution's weight gradient) still spreads over the pool.
+    const std::size_t quads = (n + 3) / 4;
+    parallelRowBlocks(m * quads, 4 * k, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t u = lo; u < hi; ++u) {
+            const std::size_t i = u / quads;
+            const float *arow = pa + i * k;
+            std::size_t j = u % quads * 4;
+            if (j + 4 <= n)
+                dotBlock<4>(arow, pb + j * k, k, pc + i * n + j);
+            else
+                for (; j < n; ++j)
+                    dotBlock<1>(arow, pb + j * k, k, pc + i * n + j);
         }
-    }
+    });
     return c;
 }
 
@@ -64,18 +116,20 @@ matmulTransposedA(const Tensor &a, const Tensor &b)
     const float *pa = a.data();
     const float *pb = b.data();
     float *pc = c.data();
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const float *arow = pa + kk * m;
-        const float *brow = pb + kk * n;
-        for (std::size_t i = 0; i < m; ++i) {
-            const float aik = arow[i];
-            if (aik == 0.0f)
-                continue;
-            float *crow = pc + i * n;
-            for (std::size_t j = 0; j < n; ++j)
-                crow[j] += aik * brow[j];
+    parallelRowBlocks(m, k * n, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const float *arow = pa + kk * m;
+            const float *brow = pb + kk * n;
+            for (std::size_t i = lo; i < hi; ++i) {
+                const float aik = arow[i];
+                if (aik == 0.0f)
+                    continue;
+                float *crow = pc + i * n;
+                for (std::size_t j = 0; j < n; ++j)
+                    crow[j] += aik * brow[j];
+            }
         }
-    }
+    });
     return c;
 }
 
@@ -94,36 +148,33 @@ im2col(const Tensor &input, const Conv2dSpec &spec)
     const float *pi = input.data();
     const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(spec.padding);
 
-    for (std::size_t ci = 0; ci < c; ++ci) {
-        for (std::size_t ky = 0; ky < k; ++ky) {
-            for (std::size_t kx = 0; kx < k; ++kx) {
-                const std::size_t row = (ci * k + ky) * k + kx;
-                float *orow = po + row * cols;
-                for (std::size_t ni = 0; ni < n; ++ni) {
-                    const float *img = pi + (ni * c + ci) * h * w;
-                    for (std::size_t oy = 0; oy < oh; ++oy) {
-                        const std::ptrdiff_t iy =
-                            static_cast<std::ptrdiff_t>(oy * spec.stride + ky)
-                            - pad;
-                        const std::size_t base = (ni * oh + oy) * ow;
-                        if (iy < 0 ||
-                            iy >= static_cast<std::ptrdiff_t>(h)) {
-                            continue; // stays zero
-                        }
-                        for (std::size_t ox = 0; ox < ow; ++ox) {
-                            const std::ptrdiff_t ix =
-                                static_cast<std::ptrdiff_t>(
-                                    ox * spec.stride + kx) - pad;
-                            if (ix < 0 ||
-                                ix >= static_cast<std::ptrdiff_t>(w))
-                                continue;
-                            orow[base + ox] = img[iy * w + ix];
-                        }
+    // Each patch row is an independent gather.
+    parallelRowBlocks(rows, cols, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t row = lo; row < hi; ++row) {
+            const std::size_t ci = row / (k * k);
+            const std::size_t ky = row / k % k, kx = row % k;
+            float *orow = po + row * cols;
+            for (std::size_t ni = 0; ni < n; ++ni) {
+                const float *img = pi + (ni * c + ci) * h * w;
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    const std::ptrdiff_t iy =
+                        static_cast<std::ptrdiff_t>(oy * spec.stride + ky)
+                        - pad;
+                    if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h))
+                        continue; // stays zero
+                    const std::size_t base = (ni * oh + oy) * ow;
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        const std::ptrdiff_t ix =
+                            static_cast<std::ptrdiff_t>(
+                                ox * spec.stride + kx) - pad;
+                        if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w))
+                            continue;
+                        orow[base + ox] = img[iy * w + ix];
                     }
                 }
             }
         }
-    }
+    });
     return out;
 }
 

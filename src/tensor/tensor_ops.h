@@ -9,6 +9,7 @@
 #define SUPERBNN_TENSOR_TENSOR_OPS_H
 
 #include <cstddef>
+#include <functional>
 
 #include "tensor/tensor.h"
 
@@ -30,8 +31,24 @@ struct Conv2dSpec
 };
 
 /**
+ * Run body(lo, hi) over contiguous blocks that partition [0, rows), on
+ * the shared executor pool (util::parallelForThreads(0, ...)). Each
+ * block carries at least ~32k multiply-adds (@p work_per_row per row),
+ * so a loop too small for two blocks runs inline on the caller. A
+ * kernel that computes every output row inside one block, in its
+ * sequential order, produces the same floats at any pool size.
+ */
+void parallelRowBlocks(
+    std::size_t rows, std::size_t work_per_row,
+    const std::function<void(std::size_t, std::size_t)> &body);
+
+/**
  * Matrix product C = A * B for 2-D tensors.
  * A is (m, k), B is (k, n); returns (m, n).
+ *
+ * The three matrix products run on the shared pool through
+ * parallelRowBlocks; each output element is computed by one task,
+ * summing k in order, so the result is bit-identical at any pool size.
  */
 Tensor matmul(const Tensor &a, const Tensor &b);
 

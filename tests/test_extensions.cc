@@ -148,11 +148,12 @@ TEST(TilePartials, LinearPartialsSumToTotal)
     EXPECT_EQ(lin.tileCount(), 3u);
     Tensor x = Tensor::randn({4, 20}, rng);
     const Tensor y = lin.forward(x, false);
-    const Shape act{4, 6};
+    const Tensor &partials = lin.tilePartials();
+    ASSERT_EQ(partials.shape(), (Shape{3, 24}));
     for (std::size_t flat = 0; flat < 24; ++flat) {
         double sum = 0.0;
         for (std::size_t t = 0; t < 3; ++t)
-            sum += lin.tilePartial(t, act, flat);
+            sum += partials[t * 24 + flat];
         // Total partials * alpha equals the layer output.
         const std::size_t c = flat % 6;
         EXPECT_NEAR(sum * lin.alpha().value[c], y[flat], 1e-3);
@@ -167,10 +168,12 @@ TEST(TilePartials, ConvPartialsSumToTotal)
     Tensor x = Tensor::randn({2, 2, 4, 4}, rng);
     const Tensor y = conv.forward(x, false);
     const Shape act = y.shape();
+    const Tensor &partials = conv.tilePartials();
+    ASSERT_EQ(partials.shape(), (Shape{3, y.size()}));
     for (std::size_t flat = 0; flat < y.size(); flat += 5) {
         double sum = 0.0;
         for (std::size_t t = 0; t < 3; ++t)
-            sum += conv.tilePartial(t, act, flat);
+            sum += partials[t * y.size() + flat];
         const std::size_t plane = act[2] * act[3];
         const std::size_t c = (flat / plane) % act[1];
         EXPECT_NEAR(sum * conv.alpha().value[c], y[flat], 1e-3);

@@ -5,6 +5,9 @@
  * warmup/cosine/ReCU recipe.
  */
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/trainer.h"
@@ -186,4 +189,29 @@ TEST(TrainerTest, VerboseOffByDefaultAndConfigStored)
     const Trainer trainer(cfg);
     EXPECT_EQ(trainer.config().epochs, 3u);
     EXPECT_FALSE(trainer.config().verbose);
+}
+
+TEST(TrainerTest, ZeroBatchSizeIsRejected)
+{
+    TrainConfig cfg;
+    cfg.batchSize = 0;
+    try {
+        const Trainer trainer(cfg);
+        FAIL() << "batchSize 0 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("TrainConfig::batchSize"),
+                  std::string::npos);
+    }
+
+    Rng rng(9);
+    const auto ds = smallMnist();
+    RandomizedMlp mlp(784, {16}, 10, AqfpBehavior{16, 2.4, 0.0}, atten(),
+                      rng);
+    try {
+        (void)Trainer::evaluate(mlp, ds.test, 0, 0);
+        FAIL() << "evaluate batch_size 0 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("batch_size"),
+                  std::string::npos);
+    }
 }

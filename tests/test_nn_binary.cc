@@ -4,13 +4,20 @@
  * rectified clamp.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nn/binary_conv.h"
 #include "nn/binary_linear.h"
 #include "nn/recu.h"
+#include "scoped_threads.h"
 #include "tensor/tensor_ops.h"
 
 using namespace superbnn;
@@ -173,6 +180,153 @@ TEST(BinaryConv, AlphaGradientAccumulates)
     EXPECT_NE(conv.alpha().grad[0], 0.0f);
 }
 
+// --- differential forward: s and every tile partial against in-test
+// scalar loops, bit for bit, at several pool sizes ---
+
+namespace {
+
+/** Random tensor with exact zeros at every 5th entry. */
+Tensor
+randnWithZeros(const Shape &shape, Rng &rng)
+{
+    Tensor t = Tensor::randn(shape, rng);
+    for (std::size_t i = 0; i < t.size(); i += 5)
+        t[i] = 0.0f;
+    return t;
+}
+
+bool
+bitEqual(const Tensor &x, const Tensor &y)
+{
+    return x.shape() == y.shape()
+        && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+struct LinearCase
+{
+    std::size_t n, in, out, tile;
+};
+
+/**
+ * One sample; samples split into uneven blocks, 13 outputs (an 8-column
+ * block plus single columns) and 37 inputs over 8-wide tiles; untiled.
+ */
+const LinearCase kLinearCases[] = {
+    {1, 37, 13, 8}, {150, 37, 13, 8}, {64, 100, 16, 16}, {9, 20, 3, 0}};
+
+} // namespace
+
+TEST(BinaryLinearDifferential, PreScaleAndPartialsMatchScalarLoops)
+{
+    for (const char *threads : test_util::kPoolSizes) {
+        const test_util::ScopedThreads scope(threads);
+        for (const LinearCase &lc : kLinearCases) {
+            Rng rng(81);
+            BinaryLinear lin(lc.in, lc.out, rng, lc.tile);
+            lin.alpha().value.fill(1.0f); // forward output == s
+            const Tensor x = randnWithZeros({lc.n, lc.in}, rng);
+            const Tensor y = lin.forward(x, true);
+            const Tensor wb = lin.signedWeights();
+
+            const std::size_t tile = lc.tile == 0 ? lc.in : lc.tile;
+            const std::size_t tiles = (lc.in + tile - 1) / tile;
+            Tensor s({lc.n, lc.out});
+            Tensor partials({tiles, lc.n * lc.out});
+            for (std::size_t i = 0; i < lc.n; ++i)
+                for (std::size_t j = 0; j < lc.out; ++j) {
+                    double acc = 0.0;
+                    for (std::size_t k = 0; k < lc.in; ++k)
+                        acc += static_cast<double>(x.at(i, k)) * wb.at(j, k);
+                    s.at(i, j) = static_cast<float>(acc);
+                    for (std::size_t t = 0; t < tiles; ++t) {
+                        float part = 0.0f;
+                        for (std::size_t k = t * tile;
+                             k < std::min(lc.in, (t + 1) * tile); ++k)
+                            part += x.at(i, k) * wb.at(j, k);
+                        partials[t * lc.n * lc.out + i * lc.out + j] = part;
+                    }
+                }
+            EXPECT_TRUE(bitEqual(y, s))
+                << "s, n=" << lc.n << " @ " << threads;
+            if (lc.tile > 0)
+                EXPECT_TRUE(bitEqual(lin.tilePartials(), partials))
+                    << "partials, n=" << lc.n << " @ " << threads;
+            else
+                EXPECT_TRUE(lin.tilePartials().empty());
+        }
+    }
+}
+
+TEST(BinaryConvDifferential, PreScaleAndPartialsMatchScalarLoops)
+{
+    struct ConvCase
+    {
+        std::size_t n, inC, outC, stride, pad, side, tile;
+    };
+    // (channel, image) units split into uneven blocks with a 27-wide
+    // patch over 7-wide tiles; one image, strided, unpadded; untiled.
+    const ConvCase cases[] = {{4, 3, 5, 1, 1, 12, 7},
+                              {1, 2, 3, 2, 0, 7, 5},
+                              {2, 2, 4, 1, 1, 6, 0}};
+    for (const char *threads : test_util::kPoolSizes) {
+        const test_util::ScopedThreads scope(threads);
+        for (const ConvCase &cc : cases) {
+            Rng rng(82);
+            BinaryConv2d conv(cc.inC, cc.outC, 3, cc.stride, cc.pad, rng,
+                              cc.tile);
+            conv.alpha().value.fill(1.0f);
+            const Tensor x =
+                randnWithZeros({cc.n, cc.inC, cc.side, cc.side}, rng);
+            const Tensor y = conv.forward(x, true);
+            const Tensor wb = conv.signedWeightMatrix();
+
+            const std::size_t patch = cc.inC * 9;
+            const std::size_t tile = cc.tile == 0 ? patch : cc.tile;
+            const std::size_t tiles = (patch + tile - 1) / tile;
+            const std::size_t o_side = conv.spec().outExtent(cc.side);
+            const std::size_t plane = o_side * o_side;
+            Tensor s({cc.n, cc.outC, o_side, o_side});
+            Tensor partials({tiles, s.size()});
+            for (std::size_t ni = 0; ni < cc.n; ++ni)
+                for (std::size_t o = 0; o < cc.outC; ++o)
+                    for (std::size_t pos = 0; pos < plane; ++pos) {
+                        const std::size_t flat =
+                            (ni * cc.outC + o) * plane + pos;
+                        float acc = 0.0f;
+                        for (std::size_t k = 0; k < patch; ++k) {
+                            const std::size_t ci = k / 9;
+                            const std::ptrdiff_t iy =
+                                static_cast<std::ptrdiff_t>(
+                                    pos / o_side * cc.stride + k % 9 / 3)
+                                - static_cast<std::ptrdiff_t>(cc.pad);
+                            const std::ptrdiff_t ix =
+                                static_cast<std::ptrdiff_t>(
+                                    pos % o_side * cc.stride + k % 3)
+                                - static_cast<std::ptrdiff_t>(cc.pad);
+                            const auto side =
+                                static_cast<std::ptrdiff_t>(cc.side);
+                            const float v =
+                                iy < 0 || ix < 0 || iy >= side || ix >= side
+                                ? 0.0f
+                                : x.at(ni, ci, static_cast<std::size_t>(iy),
+                                       static_cast<std::size_t>(ix));
+                            const float prod = wb.at(o, k) * v;
+                            acc += prod;
+                            partials[k / tile * s.size() + flat] += prod;
+                        }
+                        s[flat] = acc;
+                    }
+            EXPECT_TRUE(bitEqual(y, s))
+                << "s, n=" << cc.n << " @ " << threads;
+            if (cc.tile > 0)
+                EXPECT_TRUE(bitEqual(conv.tilePartials(), partials))
+                    << "partials, n=" << cc.n << " @ " << threads;
+            else
+                EXPECT_TRUE(conv.tilePartials().empty());
+        }
+    }
+}
+
 // --- ReCU ---
 
 TEST(ReCU, QuantileOfKnownVector)
@@ -182,6 +336,85 @@ TEST(ReCU, QuantileOfKnownVector)
     EXPECT_FLOAT_EQ(quantile(v, 1.0), 5.0f);
     EXPECT_FLOAT_EQ(quantile(v, 0.5), 3.0f);
     EXPECT_FLOAT_EQ(quantile(v, 0.25), 2.0f);
+}
+
+TEST(ReCU, QuantileEqualsSortDefinitionWithDuplicates)
+{
+    Rng rng(15);
+    for (const std::size_t n : {1u, 2u, 7u, 101u, 1000u}) {
+        Tensor v({n});
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = i % 3 == 0 ? static_cast<float>(rng.randint(-3, 3))
+                              : static_cast<float>(rng.normal());
+        std::vector<float> sorted(v.data(), v.data() + n);
+        std::sort(sorted.begin(), sorted.end());
+        for (const double q : {0.0, 1.0, rng.uniform(), rng.uniform()}) {
+            const double pos = q * static_cast<double>(n - 1);
+            const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+            const std::size_t hi = std::min(lo + 1, n - 1);
+            const double frac = pos - static_cast<double>(lo);
+            const float want = static_cast<float>(
+                (1.0 - frac) * sorted[lo] + frac * sorted[hi]);
+            const float got = quantile(v, q);
+            EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                << "n=" << n << " q=" << q << ": " << got << " vs " << want;
+        }
+    }
+}
+
+TEST(ReCU, QuantileRejectsEmptyValuesAndBadQ)
+{
+    const Tensor v = Tensor::fromVector({1, 2, 3});
+    try {
+        (void)quantile(Tensor(), 0.5);
+        FAIL() << "empty values accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("values"), std::string::npos);
+    }
+    for (const double q : {-0.1, 1.5, std::nan("")}) {
+        try {
+            (void)quantile(v, q);
+            FAIL() << "q=" << q << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("q "), std::string::npos);
+        }
+    }
+}
+
+TEST(ReCU, ClampRejectsTauOutsideHalfToOne)
+{
+    for (const double tau : {0.4, 1.01, std::nan("")}) {
+        Tensor w = Tensor::fromVector({1, 2, 3});
+        try {
+            (void)applyReCU(w, tau);
+            FAIL() << "tau=" << tau << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("tau"), std::string::npos);
+        }
+    }
+}
+
+TEST(ReCU, ScheduleRejectsTauOutsideHalfToOne)
+{
+    const std::pair<double, double> bad_start[] = {{0.3, 0.99},
+                                                   {std::nan(""), 0.99}};
+    for (const auto &[start, end] : bad_start)
+        try {
+            (void)ReCUSchedule(start, end);
+            FAIL() << "tau_start=" << start << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("tau_start"),
+                      std::string::npos);
+        }
+    const std::pair<double, double> bad_end[] = {{0.85, 1.2}, {0.9, 0.8}};
+    for (const auto &[start, end] : bad_end)
+        try {
+            (void)ReCUSchedule(start, end);
+            FAIL() << "tau_end=" << end << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("tau_end"),
+                      std::string::npos);
+        }
 }
 
 TEST(ReCU, ClampMovesOutliersInward)

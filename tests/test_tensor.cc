@@ -5,9 +5,13 @@
  */
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "scoped_threads.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -186,6 +190,130 @@ TEST(MatMul, IdentityIsNoop)
         eye.at(i, i) = 1.0f;
     EXPECT_TRUE(matmul(a, eye).allClose(a, 1e-6f));
     EXPECT_TRUE(matmul(eye, a).allClose(a, 1e-6f));
+}
+
+// --- differential kernels: the pool-partitioned matmuls against
+// in-test scalar loops, bit for bit, at several pool sizes ---
+
+namespace {
+
+/** Random (rows, cols) matrix with exact zeros at every 7th entry. */
+Tensor
+randnWithZeros(std::size_t rows, std::size_t cols, Rng &rng)
+{
+    Tensor t = Tensor::randn({rows, cols}, rng);
+    for (std::size_t i = 0; i < t.size(); i += 7)
+        t[i] = 0.0f;
+    return t;
+}
+
+Tensor
+naiveMatmul(const Tensor &a, const Tensor &b)
+{
+    const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    Tensor c({m, n});
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (std::size_t kk = 0; kk < k; ++kk)
+                if (a.at(i, kk) != 0.0f)
+                    acc += a.at(i, kk) * b.at(kk, j);
+            c.at(i, j) = acc;
+        }
+    return c;
+}
+
+Tensor
+naiveMatmulTransposedB(const Tensor &a, const Tensor &b)
+{
+    const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+    Tensor c({m, n});
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (std::size_t kk = 0; kk < k; ++kk)
+                acc += static_cast<double>(a.at(i, kk)) * b.at(j, kk);
+            c.at(i, j) = static_cast<float>(acc);
+        }
+    return c;
+}
+
+Tensor
+naiveMatmulTransposedA(const Tensor &a, const Tensor &b)
+{
+    const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
+    Tensor c({m, n});
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (std::size_t kk = 0; kk < k; ++kk)
+                if (a.at(kk, i) != 0.0f)
+                    acc += a.at(kk, i) * b.at(kk, j);
+            c.at(i, j) = acc;
+        }
+    return c;
+}
+
+bool
+bitEqual(const Tensor &x, const Tensor &y)
+{
+    return x.shape() == y.shape()
+        && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/** (m, k, n): one row; rows split into uneven blocks; tiny (inline). */
+const std::size_t kMatmulShapes[][3] = {
+    {1, 37, 11}, {100, 40, 25}, {67, 300, 9}, {3, 5, 4}};
+
+} // namespace
+
+TEST(MatMulDifferential, BitEqualToScalarLoopsAtEveryPoolSize)
+{
+    for (const char *threads : test_util::kPoolSizes) {
+        const test_util::ScopedThreads scope(threads);
+        Rng rng(71);
+        for (const auto &shape : kMatmulShapes) {
+            const std::size_t m = shape[0], k = shape[1], n = shape[2];
+            const Tensor a = randnWithZeros(m, k, rng);
+            const Tensor b = randnWithZeros(k, n, rng);
+            const Tensor bt = randnWithZeros(n, k, rng);
+            const Tensor at = randnWithZeros(k, m, rng);
+            EXPECT_TRUE(bitEqual(matmul(a, b), naiveMatmul(a, b)))
+                << "matmul " << m << "x" << k << "x" << n << " @ "
+                << threads;
+            EXPECT_TRUE(bitEqual(matmulTransposedB(a, bt),
+                                 naiveMatmulTransposedB(a, bt)))
+                << "matmulTransposedB " << m << "x" << k << "x" << n
+                << " @ " << threads;
+            EXPECT_TRUE(bitEqual(matmulTransposedA(at, b),
+                                 naiveMatmulTransposedA(at, b)))
+                << "matmulTransposedA " << m << "x" << k << "x" << n
+                << " @ " << threads;
+        }
+    }
+}
+
+TEST(ParallelRowBlocks, PartitionsRowsIntoWorkSizedBlocks)
+{
+    const test_util::ScopedThreads scope("4");
+    for (const std::size_t work : {1u, 1000u, 40000u}) {
+        std::vector<int> seen(101, 0);
+        std::vector<std::pair<std::size_t, std::size_t>> blocks(101);
+        parallelRowBlocks(101, work, [&](std::size_t lo, std::size_t hi) {
+            blocks[lo] = {lo, hi};
+            for (std::size_t r = lo; r < hi; ++r)
+                ++seen[r];
+        });
+        for (int v : seen)
+            EXPECT_EQ(v, 1) << "work " << work;
+        // Every block but the last carries at least 32k multiply-adds.
+        for (const auto &[lo, hi] : blocks)
+            if (hi != 0 && hi != 101)
+                EXPECT_GE((hi - lo) * work, 32768u) << "work " << work;
+    }
+    std::size_t calls = 0;
+    parallelRowBlocks(0, 100, [&](std::size_t, std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 0u);
 }
 
 // --- conv / im2col ---

@@ -14,6 +14,10 @@
  * totals, so the per-layer-plan machinery sits under the same
  * cross-thread, cross-arm byte diff as the raw executor.
  *
+ * A third section does the same for a small seeded CNN, so the flat
+ * conv path (patches gathered inside the executor's tasks, outputs
+ * written in place, 2x2 max-pool between layers) is diffed too.
+ *
  * Nothing timing- or environment-dependent may be printed here.
  */
 
@@ -34,6 +38,16 @@
 using namespace superbnn;
 
 namespace {
+
+/** FNV-1a step over the bit pattern of one score. */
+std::uint64_t
+fnvScore(std::uint64_t fnv, double score)
+{
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(score));
+    std::memcpy(&bits, &score, sizeof(bits));
+    return (fnv ^ bits) * 1099511628211ULL;
+}
 
 crossbar::MappedLayer
 signedLayer(const crossbar::CrossbarMapper &mapper, std::size_t out,
@@ -119,10 +133,7 @@ main()
         std::printf("plan sample %zu scores:", b);
         for (const double s : plan_scores[b]) {
             std::printf(" %.17g", s);
-            std::uint64_t bits = 0;
-            static_assert(sizeof(bits) == sizeof(s));
-            std::memcpy(&bits, &s, sizeof(bits));
-            plan_fnv = (plan_fnv ^ bits) * 1099511628211ULL;
+            plan_fnv = fnvScore(plan_fnv, s);
         }
         std::printf("\n");
     }
@@ -130,5 +141,35 @@ main()
                 aqfp::toJson(eval.totalLedgerCounts()).c_str());
     std::printf("plan-fnv %llu\n",
                 static_cast<unsigned long long>(plan_fnv));
+
+    // CNN section: an untrained, seeded CNN with pooled and unpooled
+    // cells, odd channel counts and a partial column group, through the
+    // same request-seeded path.
+    core::RandomizedCnn::Config ccfg;
+    ccfg.inputChannels = 3;
+    ccfg.inputSide = 8;
+    ccfg.channels = {5, 7};
+    ccfg.poolAfter = {true, false};
+    Rng cnn_rng(31);
+    const core::RandomizedCnn cnn(ccfg, core::AqfpBehavior{16, 2.4, 0.0},
+                                  atten, cnn_rng);
+    core::HardwareEvaluator cnn_eval(atten,
+                                     core::HardwareConfig{4, 8, 2.4});
+    cnn_eval.mapCnn(cnn);
+    std::vector<Tensor> images;
+    std::vector<std::uint64_t> image_seeds;
+    for (std::size_t b = 0; b < 3; ++b) {
+        images.push_back(Tensor::randn({1, 3, 8, 8}, input_rng));
+        image_seeds.push_back(0xC000 + 11 * b);
+    }
+    aqfp::LedgerCounts cnn_counts;
+    const auto cnn_scores =
+        cnn_eval.classScoresSeeded(images, image_seeds, &cnn_counts);
+    std::uint64_t cnn_fnv = 1469598103934665603ULL;
+    for (const auto &scores : cnn_scores)
+        for (const double s : scores)
+            cnn_fnv = fnvScore(cnn_fnv, s);
+    std::printf("cnn ledger %s\n", aqfp::toJson(cnn_counts).c_str());
+    std::printf("cnn-fnv %llu\n", static_cast<unsigned long long>(cnn_fnv));
     return 0;
 }

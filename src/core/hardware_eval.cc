@@ -1,5 +1,6 @@
 #include "core/hardware_eval.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -60,6 +61,21 @@ installThresholds(crossbar::MappedLayer &layer,
     }
 }
 
+/**
+ * Checked at mapping: evaluation reads @p width activations into layer
+ * @p name's fan-in without scanning them.
+ */
+void
+requireWidth(const crossbar::MappedLayer &layer, std::size_t width,
+             const std::string &name)
+{
+    if (layer.fanIn != width)
+        throw std::invalid_argument(
+            "HardwareEvaluator: layer " + name + " has fan-in "
+            + std::to_string(layer.fanIn) + ", its input rows have "
+            + std::to_string(width) + " activations");
+}
+
 /** Per-sample argmax of a batch of class scores. */
 std::vector<std::size_t>
 argmaxEach(const std::vector<std::vector<double>> &scores)
@@ -70,6 +86,44 @@ argmaxEach(const std::vector<std::vector<double>> &scores)
             if (scores[b][j] > scores[b][best[b]])
                 best[b] = j;
     return best;
+}
+
+/**
+ * Where each row of a padded 3x3 patch reads a channels x side x side
+ * map, [position][channel][ky][kx] with positions row-major: the
+ * element's offset in the map, or -1 for a padding row.
+ */
+std::vector<std::int32_t>
+patchMap(std::size_t channels, std::size_t side)
+{
+    const int n = static_cast<int>(side);
+    std::vector<std::int32_t> map;
+    map.reserve(side * side * channels * 9);
+    for (int y = 0; y < n; ++y)
+        for (int x = 0; x < n; ++x)
+            for (int c = 0; c < static_cast<int>(channels); ++c)
+                for (int iy = y - 1; iy <= y + 1; ++iy)
+                    for (int ix = x - 1; ix <= x + 1; ++ix)
+                        map.push_back(iy < 0 || ix < 0 || iy >= n || ix >= n
+                                          ? -1
+                                          : (c * n + iy) * n + ix);
+    return map;
+}
+
+/** 2x2 max-pool of @p maps consecutive side x side maps. */
+std::vector<int>
+maxPool2x2(const std::vector<int> &in, std::size_t maps, std::size_t side)
+{
+    const std::size_t half = side / 2;
+    std::vector<int> out(maps * half * half);
+    int *dst = out.data();
+    for (std::size_t m = 0; m < maps; ++m)
+        for (std::size_t y = 0; y < half; ++y)
+            for (std::size_t x = 0; x < half; ++x, ++dst) {
+                const int *p = in.data() + (m * side + 2 * y) * side + 2 * x;
+                *dst = std::max({p[0], p[1], p[side], p[side + 1]});
+            }
+    return out;
 }
 
 } // namespace
@@ -176,6 +230,9 @@ HardwareEvaluator::mapMlp(const RandomizedMlp &model,
             return layer;
         });
         mc.flip = folded.flip;
+        mc.inChannels = mc.layer.fanIn;
+        if (li > 0)
+            requireWidth(mc.layer, mapped.back().layer.fanOut, name);
         mapped.push_back(std::move(mc));
         ++li;
     }
@@ -184,6 +241,8 @@ HardwareEvaluator::mapMlp(const RandomizedMlp &model,
         resolved_[li].crossbarSize, atten, resolved_[li].deltaIinUa);
     headMapped = mapLayer(
         li, "head", [&]() { return headMapper.map(head.signedWeights()); });
+    if (li > 0)
+        requireWidth(headMapped, mapped.back().layer.fanOut, "head");
     headAlpha.assign(head.alpha().value.data(),
                      head.alpha().value.data()
                          + head.alpha().value.size());
@@ -208,23 +267,25 @@ HardwareEvaluator::mapCnn(const RandomizedCnn &model)
         mc.layer = mapper.map(cell.conv->signedWeightMatrix());
         const FoldedBn folded =
             foldBatchNorm(*cell.bn, cell.conv->alpha().value);
-        installThresholds(mc.layer, folded.vth,
-                          "conv" + std::to_string(li + 1));
+        const std::string name = "conv" + std::to_string(li + 1);
+        installThresholds(mc.layer, folded.vth, name);
         mc.flip = folded.flip;
         mc.inChannels = in_ch;
         mc.inSide = side;
-        mc.outChannels = cell.conv->outChannels();
         mc.pooled = cell.pooled;
-        mapped.push_back(std::move(mc));
-        in_ch = mc.outChannels;
+        requireWidth(mc.layer, in_ch * 9, name);
+        mc.patches = patchMap(in_ch, side);
+        in_ch = mc.layer.fanOut;
         if (cell.pooled)
             side /= 2;
+        mapped.push_back(std::move(mc));
     }
     const auto &head = model.head();
     const crossbar::CrossbarMapper headMapper(
         resolved_[mapped.size()].crossbarSize, atten,
         resolved_[mapped.size()].deltaIinUa);
     headMapped = headMapper.map(head.signedWeights());
+    requireWidth(headMapped, in_ch * side * side, "head");
     headAlpha.assign(head.alpha().value.data(),
                      head.alpha().value.data()
                          + head.alpha().value.size());
@@ -254,16 +315,8 @@ HardwareEvaluator::layerSpec(std::size_t i) const
         return aqfp::LayerSpec::fc("head", headMapped.fanIn,
                                    headMapped.fanOut);
     const MappedCell &mc = mapped[i];
-    if (kind == Kind::Cnn) {
-        aqfp::LayerSpec spec;
-        spec.name = "conv" + std::to_string(i + 1);
-        spec.fanIn = mc.layer.fanIn;
-        spec.fanOut = mc.layer.fanOut;
-        spec.positions = mc.inSide * mc.inSide;
-        return spec;
-    }
-    return aqfp::LayerSpec::fc("fc" + std::to_string(i + 1),
-                               mc.layer.fanIn, mc.layer.fanOut);
+    return {(kind == Kind::Cnn ? "conv" : "fc") + std::to_string(i + 1),
+            mc.layer.fanIn, mc.layer.fanOut, mc.inSide * mc.inSide};
 }
 
 std::vector<LayerEnergyReport>
@@ -369,12 +422,10 @@ HardwareEvaluator::inputSize() const
     if (mapped.empty())
         return headMapped.fanIn;
     const MappedCell &first = mapped.front();
-    return kind == Kind::Cnn
-        ? first.inChannels * first.inSide * first.inSide
-        : first.layer.fanIn;
+    return first.inChannels * first.inSide * first.inSide;
 }
 
-std::vector<std::vector<int>>
+std::vector<int>
 HardwareEvaluator::binarizeInputs(const std::vector<Tensor> &samples,
                                   const char *caller) const
 {
@@ -384,8 +435,7 @@ HardwareEvaluator::binarizeInputs(const std::vector<Tensor> &samples,
         throw std::logic_error(std::string("HardwareEvaluator::")
                                + caller + ": map a model first");
     const std::size_t want = inputSize();
-    std::vector<std::vector<int>> inputs;
-    inputs.reserve(samples.size());
+    std::vector<int> inputs(samples.size() * want);
     for (std::size_t b = 0; b < samples.size(); ++b) {
         const Tensor &sample = samples[b];
         if (sample.size() != want)
@@ -395,22 +445,54 @@ HardwareEvaluator::binarizeInputs(const std::vector<Tensor> &samples,
                 + std::to_string(sample.size())
                 + " elements, the mapped model's input size is "
                 + std::to_string(want));
-        std::vector<int> &out = inputs.emplace_back(sample.size());
-        for (std::size_t i = 0; i < sample.size(); ++i)
-            out[i] = sample[i] >= 0.0f ? 1 : -1;
+        for (std::size_t i = 0; i < want; ++i)
+            inputs[b * want + i] = sample[i] >= 0.0f ? 1 : -1;
     }
     return inputs;
 }
 
 std::vector<std::vector<double>>
-HardwareEvaluator::runBatch(const std::vector<std::vector<int>> &inputs,
+HardwareEvaluator::runBatch(std::vector<int> acts, std::size_t samples,
                             RootSource &roots,
                             aqfp::LedgerCounts *counts) const
 {
+    // Activations stay flat, [samples][width], channel-major for conv
+    // maps. Each layer is ONE executor pass over all samples and
+    // positions; its tasks gather the patches and write flipped outputs.
     std::vector<aqfp::HardwareLedger> ledgers(mapped.size() + 1);
-    std::vector<std::vector<double>> scores =
-        kind == Kind::Mlp ? runMlpBatch(inputs, roots, ledgers)
-                          : runCnnBatch(inputs, roots, ledgers);
+    for (std::size_t li = 0; li < mapped.size(); ++li) {
+        const MappedCell &mc = mapped[li];
+        const std::size_t positions = mc.inSide * mc.inSide;
+        std::vector<int> out(samples * positions * mc.layer.fanOut);
+        const crossbar::InputView in{
+            acts.data(), samples * positions, mc.inChannels * positions,
+            mc.patches.empty() ? nullptr : mc.patches.data(), positions};
+        // One root per (request, position), request-major — with a
+        // per-request source this is exactly the draw order a
+        // singleton run consumes, which is what keeps seeded batches
+        // bit-identical to singles.
+        executorFor(li).forward(mc.layer, in,
+                                roots.draw(samples, positions), out.data(),
+                                &mc.flip, &ledgers[li]);
+        // Pooling reads a 2x2 window across task boundaries, so it is a
+        // separate pass after the barrier.
+        acts = mc.pooled
+            ? maxPool2x2(out, samples * mc.layer.fanOut, mc.inSide)
+            : std::move(out);
+    }
+    std::vector<double> decoded(samples * headMapped.fanOut);
+    executorFor(mapped.size())
+        .forwardDecoded(headMapped,
+                        crossbar::InputView{acts.data(), samples,
+                                            headMapped.fanIn},
+                        roots.draw(samples, 1), decoded.data(),
+                        &ledgers.back());
+    std::vector<std::vector<double>> scores(
+        samples, std::vector<double>(headMapped.fanOut));
+    for (std::size_t b = 0; b < samples; ++b)
+        for (std::size_t j = 0; j < headMapped.fanOut; ++j)
+            scores[b][j] = decoded[b * headMapped.fanOut + j] * headAlpha[j];
+
     aqfp::LedgerCounts call;
     {
         const std::lock_guard<std::mutex> lock(countsMutex_);
@@ -419,7 +501,7 @@ HardwareEvaluator::runBatch(const std::vector<std::vector<int>> &inputs,
             counts_[i] += layer;
             call += layer;
         }
-        images_ += inputs.size();
+        images_ += samples;
     }
     if (counts)
         *counts = call;
@@ -427,153 +509,13 @@ HardwareEvaluator::runBatch(const std::vector<std::vector<int>> &inputs,
 }
 
 std::vector<std::vector<double>>
-HardwareEvaluator::runMlpBatch(
-    const std::vector<std::vector<int>> &inputs, RootSource &roots,
-    std::vector<aqfp::HardwareLedger> &ledgers) const
-{
-    const std::size_t samples = inputs.size();
-    std::vector<std::vector<int>> acts = inputs;
-    for (std::size_t i = 0; i < mapped.size(); ++i) {
-        const MappedCell &mc = mapped[i];
-        std::vector<std::vector<int>> next =
-            executorFor(i).forwardSeeded(mc.layer, acts,
-                                         roots.draw(samples, 1),
-                                         &ledgers[i]);
-        for (auto &sample : next)
-            for (std::size_t j = 0; j < sample.size(); ++j)
-                if (mc.flip[j])
-                    sample[j] = -sample[j];
-        acts = std::move(next);
-    }
-    std::vector<std::vector<double>> scores =
-        executorFor(mapped.size())
-            .forwardDecodedSeeded(headMapped, acts,
-                                  roots.draw(samples, 1),
-                                  &ledgers.back());
-    for (auto &sample : scores)
-        for (std::size_t j = 0; j < sample.size(); ++j)
-            sample[j] *= headAlpha[j];
-    return scores;
-}
-
-std::vector<std::vector<double>>
-HardwareEvaluator::runCnnBatch(
-    const std::vector<std::vector<int>> &inputs, RootSource &roots,
-    std::vector<aqfp::HardwareLedger> &ledgers) const
-{
-    // Activations held channel-major per sample:
-    // acts[b][c * side * side + y * side + x]. Every conv layer runs as
-    // ONE batched executor pass over the receptive-field patches of all
-    // samples and all spatial positions — the mapped tiles are walked
-    // once for samples * side * side patches instead of once per patch.
-    const std::size_t samples = inputs.size();
-    std::vector<std::vector<int>> acts = inputs;
-    for (std::size_t li = 0; li < mapped.size(); ++li) {
-        const MappedCell &mc = mapped[li];
-        const std::size_t side = mc.inSide;
-        const std::size_t in_ch = mc.inChannels;
-        const std::size_t out_ch = mc.outChannels;
-        const std::size_t positions = side * side;
-        std::vector<std::vector<int>> patches(
-            samples * positions, std::vector<int>(in_ch * 9));
-        for (std::size_t b = 0; b < samples; ++b) {
-            for (std::size_t y = 0; y < side; ++y) {
-                for (std::size_t x = 0; x < side; ++x) {
-                    // Gather the padded 3x3 receptive field (padding
-                    // rows are driven with no current -> activation 0).
-                    std::vector<int> &patch =
-                        patches[b * positions + y * side + x];
-                    std::size_t p = 0;
-                    for (std::size_t c = 0; c < in_ch; ++c) {
-                        for (int ky = -1; ky <= 1; ++ky) {
-                            for (int kx = -1; kx <= 1; ++kx, ++p) {
-                                const int iy = static_cast<int>(y) + ky;
-                                const int ix = static_cast<int>(x) + kx;
-                                if (iy < 0 || ix < 0
-                                    || iy >= static_cast<int>(side)
-                                    || ix >= static_cast<int>(side)) {
-                                    patch[p] = 0;
-                                } else {
-                                    patch[p] =
-                                        acts[b][(c * side + iy) * side
-                                                + ix];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // One root per (request, patch), request-major — with a
-        // per-request source this is exactly the draw order a
-        // singleton run consumes, which is what keeps seeded batches
-        // bit-identical to singles.
-        const std::vector<std::vector<int>> outs =
-            executorFor(li).forwardSeeded(mc.layer, patches,
-                                          roots.draw(samples, positions),
-                                          &ledgers[li]);
-        std::vector<std::vector<int>> conv_out(
-            samples, std::vector<int>(out_ch * side * side));
-        for (std::size_t b = 0; b < samples; ++b) {
-            for (std::size_t y = 0; y < side; ++y) {
-                for (std::size_t x = 0; x < side; ++x) {
-                    const std::vector<int> &o_vec =
-                        outs[b * positions + y * side + x];
-                    for (std::size_t o = 0; o < out_ch; ++o) {
-                        int v = o_vec[o];
-                        if (mc.flip[o])
-                            v = -v;
-                        conv_out[b][(o * side + y) * side + x] = v;
-                    }
-                }
-            }
-        }
-        if (mc.pooled) {
-            const std::size_t half = side / 2;
-            for (std::size_t b = 0; b < samples; ++b) {
-                std::vector<int> pooled(out_ch * half * half);
-                for (std::size_t c = 0; c < out_ch; ++c) {
-                    for (std::size_t y = 0; y < half; ++y) {
-                        for (std::size_t x = 0; x < half; ++x) {
-                            int best = -1;
-                            for (int ky = 0; ky < 2; ++ky)
-                                for (int kx = 0; kx < 2; ++kx)
-                                    best = std::max(
-                                        best,
-                                        conv_out[b]
-                                                [(c * side + 2 * y + ky)
-                                                     * side
-                                                 + 2 * x + kx]);
-                            pooled[(c * half + y) * half + x] = best;
-                        }
-                    }
-                }
-                acts[b] = std::move(pooled);
-            }
-        } else {
-            acts = std::move(conv_out);
-        }
-    }
-    std::vector<std::vector<double>> scores =
-        executorFor(mapped.size())
-            .forwardDecodedSeeded(headMapped, acts,
-                                  roots.draw(samples, 1),
-                                  &ledgers.back());
-    for (auto &sample : scores)
-        for (std::size_t j = 0; j < sample.size(); ++j)
-            sample[j] *= headAlpha[j];
-    return scores;
-}
-
-std::vector<std::vector<double>>
 HardwareEvaluator::classScores(const std::vector<Tensor> &samples,
                                Rng &rng) const
 {
-    const std::vector<std::vector<int>> inputs =
-        binarizeInputs(samples, "classScores");
+    std::vector<int> inputs = binarizeInputs(samples, "classScores");
     RootSource roots;
     roots.shared = &rng;
-    return runBatch(inputs, roots, nullptr);
+    return runBatch(std::move(inputs), samples.size(), roots, nullptr);
 }
 
 std::vector<std::vector<double>>
@@ -582,8 +524,7 @@ HardwareEvaluator::classScoresSeeded(
     const std::vector<std::uint64_t> &seeds,
     aqfp::LedgerCounts *counts) const
 {
-    const std::vector<std::vector<int>> inputs =
-        binarizeInputs(samples, "classScoresSeeded");
+    std::vector<int> inputs = binarizeInputs(samples, "classScoresSeeded");
     if (samples.size() != seeds.size())
         throw std::invalid_argument(
             "HardwareEvaluator::classScoresSeeded: "
@@ -597,7 +538,7 @@ HardwareEvaluator::classScoresSeeded(
         engines.emplace_back(seed);
     RootSource roots;
     roots.perRequest = &engines;
-    return runBatch(inputs, roots, counts);
+    return runBatch(std::move(inputs), samples.size(), roots, counts);
 }
 
 std::vector<std::size_t>

@@ -289,29 +289,18 @@ class HardwareEvaluator
      */
     const HardwareConfig &config() const { return cfg; }
 
-    /** The per-layer plan this evaluator runs (uniform or not). */
-    const HardwarePlan &plan() const { return plan_; }
-
-    /**
-     * The plan resolved against the mapped model: one entry per mapped
-     * cell (hidden layers in order, head last). Empty before
-     * mapMlp/mapCnn.
-     */
-    const std::vector<LayerHardwareConfig> &resolvedLayers() const
-    {
-        return resolved_;
-    }
-
   private:
+    /** A hidden layer and its input map (1 x 1 x fanIn for fc layers). */
     struct MappedCell
     {
         crossbar::MappedLayer layer;
         std::vector<bool> flip;
-        // CNN geometry (unused for MLP cells).
         std::size_t inChannels = 0;
-        std::size_t inSide = 0;
-        std::size_t outChannels = 0;
+        std::size_t inSide = 1;
         bool pooled = false;
+        /// Conv only: the source offset of every (position, patch row)
+        /// in the input map, -1 for padding (see crossbar::InputView).
+        std::vector<std::int32_t> patches;
     };
 
     enum class Kind { None, Mlp, Cnn };
@@ -362,29 +351,21 @@ class HardwareEvaluator
     struct RootSource;
 
     /**
-     * The +/-1 executor inputs of @p samples, after the checks every
-     * evaluation entry point documents (@p caller names it in the
-     * error).
+     * The +/-1 executor inputs of @p samples, flat [samples][inputSize],
+     * after the checks every evaluation entry point documents
+     * (@p caller names it in the error): the evaluation path's only scan.
      */
-    std::vector<std::vector<int>>
-    binarizeInputs(const std::vector<Tensor> &samples,
-                   const char *caller) const;
+    std::vector<int> binarizeInputs(const std::vector<Tensor> &samples,
+                                    const char *caller) const;
     /**
-     * Run one evaluation call into call-local ledgers, then add their
-     * totals and the image count to counts_/images_ under the lock;
-     * the call's summed activity goes to @p counts when non-null.
+     * Run one evaluation call of @p samples flat @p inputs through every
+     * mapped layer and the head into call-local ledgers, then add their
+     * totals and the image count to counts_/images_ under the lock; the
+     * call's summed activity goes to @p counts when non-null.
      */
     std::vector<std::vector<double>>
-    runBatch(const std::vector<std::vector<int>> &inputs,
+    runBatch(std::vector<int> inputs, std::size_t samples,
              RootSource &roots, aqfp::LedgerCounts *counts) const;
-    std::vector<std::vector<double>>
-    runMlpBatch(const std::vector<std::vector<int>> &inputs,
-                RootSource &roots,
-                std::vector<aqfp::HardwareLedger> &ledgers) const;
-    std::vector<std::vector<double>>
-    runCnnBatch(const std::vector<std::vector<int>> &inputs,
-                RootSource &roots,
-                std::vector<aqfp::HardwareLedger> &ledgers) const;
 };
 
 } // namespace superbnn::core

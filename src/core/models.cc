@@ -1,6 +1,8 @@
 #include "core/models.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace superbnn::core {
 
@@ -79,8 +81,14 @@ RandomizedCnn::RandomizedCnn(const Config &config,
                              BinarizeMode mode)
     : cfg(config), mode_(mode)
 {
-    assert(!cfg.channels.empty());
-    assert(cfg.poolAfter.size() == cfg.channels.size());
+    if (cfg.channels.empty())
+        throw std::invalid_argument("RandomizedCnn: channels is empty (at "
+                                    "least one conv cell is required)");
+    if (cfg.poolAfter.size() != cfg.channels.size())
+        throw std::invalid_argument(
+            "RandomizedCnn: poolAfter has "
+            + std::to_string(cfg.poolAfter.size()) + " entries, channels has "
+            + std::to_string(cfg.channels.size()));
     net.emplace<nn::SignSTE>();
     std::size_t in_ch = cfg.inputChannels;
     std::size_t side = cfg.inputSide;

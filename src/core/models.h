@@ -129,6 +129,8 @@ class RandomizedCnn : public BnnModel
         std::size_t classes = 10;
     };
 
+    /** @throws std::invalid_argument when config.channels is empty or
+     *          config.poolAfter is not the same length */
     RandomizedCnn(const Config &config, const AqfpBehavior &behavior,
                   const aqfp::AttenuationModel &atten, Rng &rng,
                   BinarizeMode mode = BinarizeMode::Randomized);

@@ -1,7 +1,6 @@
 #include "crossbar/tile_executor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -154,6 +153,38 @@ requireFanIn(const MappedLayer &layer,
     }
 }
 
+/** Checked in every build: a short vector would be read past its end. */
+void
+requireActivations(const MappedLayer &layer, std::size_t count,
+                   const char *caller)
+{
+    if (count != layer.fanIn)
+        throw std::invalid_argument(
+            std::string("TileExecutor::") + caller + ": "
+            + std::to_string(count) + " activations, the layer's fan-in is "
+            + std::to_string(layer.fanIn));
+}
+
+/** A vector overload over a flat pass: rows packed in, rows out. */
+template <typename T, typename Pass>
+std::vector<std::vector<T>>
+adapt(const MappedLayer &layer, const std::vector<std::vector<int>> &batch,
+      const Pass &pass)
+{
+    requireFanIn(layer, batch);
+    std::vector<int> flat(batch.size() * layer.fanIn);
+    for (std::size_t b = 0; b < batch.size(); ++b)
+        std::copy(batch[b].begin(), batch[b].end(),
+                  flat.begin() + b * layer.fanIn);
+    std::vector<T> out(batch.size() * layer.fanOut);
+    pass(InputView{flat.data(), batch.size(), layer.fanIn}, out.data());
+    std::vector<std::vector<T>> rows;
+    rows.reserve(batch.size());
+    for (auto at = out.begin(); at != out.end(); at += layer.fanOut)
+        rows.emplace_back(at, at + layer.fanOut);
+    return rows;
+}
+
 /// Upper bound on a task's stream buffer (words): one block of samples'
 /// streams for the task's column group stays within L1.
 constexpr std::size_t kBlockWords = 4096;
@@ -183,23 +214,27 @@ chunkSize(std::size_t samples, std::size_t col_tiles, std::size_t threads)
 
 } // namespace
 
+template <typename Emit>
 void
-TileExecutor::forwardFused(
-    const MappedLayer &layer, const std::vector<std::vector<int>> &batch,
-    const std::vector<std::uint64_t> &roots,
-    const sc::AccumulationModule &accum, aqfp::HardwareLedger *ledger,
-    const std::function<void(std::size_t, std::size_t,
-                             const std::vector<sc::StreamView> &)> &emit)
-    const
+TileExecutor::forwardFused(const MappedLayer &layer, const InputView &in,
+                           const std::vector<std::uint64_t> &roots,
+                           aqfp::HardwareLedger *ledger,
+                           const Emit &emit) const
 {
-    const std::size_t samples = batch.size();
+    requireMatchingRoots(in.rows, roots.size());
+    if (in.rows == 0)
+        return;
+    const sc::AccumulationModule accum(layer.rowTiles, window_, useExact,
+                                       dropFraction);
+    const std::size_t samples = in.rows;
     const std::size_t rowTiles = layer.rowTiles;
     const std::size_t cs = layer.cs;
+    const std::size_t fanIn = layer.fanIn;
     const std::size_t words = sc::detail::wordsForLength(window_);
     const std::size_t span = 2 * cs + 1; // column sums lie in [-cs, cs]
     const std::size_t chunk = chunkSize(samples, layer.colTiles, threads());
     const std::size_t chunks = (samples + chunk - 1) / chunk;
-    runParallel(chunks * layer.colTiles, [&](std::size_t task) {
+    const auto task = [&](std::size_t task) {
         const std::size_t ct = task % layer.colTiles;
         const std::size_t first = (task / layer.colTiles) * chunk;
         const std::size_t last = std::min(samples, first + chunk);
@@ -207,38 +242,56 @@ TileExecutor::forwardFused(
         // Only the columns an APC reads are filled; a partial last
         // column group leaves the rest of its tiles' columns unread.
         const std::size_t cols = std::min(cs, layer.fanOut - c0);
-        // Streams of one block of samples, [sample][column][rowTile],
-        // so each merge reads its row tiles' words contiguously.
         const std::size_t perSample = cols * rowTiles * words;
         const std::size_t block =
             std::min(last - first, std::max<std::size_t>(
                                        1, kBlockWords / perSample));
-        std::vector<std::uint64_t> streams(block * perSample);
+        // One word buffer holds the streams of one block of samples,
+        // [sample][column][rowTile] so each merge reads its row tiles'
+        // words contiguously; then the current row tile's thresholds by
+        // (column, sum + cs), filled on first use; then the slots filled
+        // so far, so the next row tile resets only those. Conv patches
+        // repeat a pair ~90% of the time, MLP layers 35-40%, one-sample
+        // blocks never (BENCH_16.json "memo").
+        const std::size_t memoSize = cols * span;
+        std::vector<std::uint64_t> scratch(
+            block * perSample + memoSize + std::min(memoSize, block * cols));
+        std::uint64_t *const streams = scratch.data();
+        std::uint64_t *const memo = streams + block * perSample;
+        std::uint64_t *const touched = memo + memoSize;
+        std::fill(memo, touched, kUnset);
+        std::size_t filled = 0;
         std::vector<int> sums(cs);
-        // Thresholds of the current row tile by (column, sum + cs),
-        // filled on first use; `touched` lists the filled slots so the
-        // next row tile resets only those. Conv patches repeat a pair
-        // ~90% of the time, MLP layers 35-40%, one-sample blocks never
-        // (BENCH_16.json "memo").
-        std::vector<std::uint64_t> memo(cols * span, kUnset);
-        std::vector<std::size_t> touched;
-        touched.reserve(std::min(memo.size(), block * cols));
+        // The block's gathered patches; direct rows are read in place.
+        std::vector<int> gathered(in.patches ? block * fanIn : 0);
         std::vector<sc::StreamView> column(rowTiles);
         for (std::size_t b0 = first; b0 < last; b0 += block) {
             const std::size_t b1 = std::min(last, b0 + block);
+            for (std::size_t b = b0; in.patches && b < b1; ++b) {
+                const std::size_t image = b / in.positions;
+                const int *src = in.data + image * in.stride;
+                const std::int32_t *offsets =
+                    in.patches + (b - image * in.positions) * fanIn;
+                int *row = gathered.data() + (b - b0) * fanIn;
+                for (std::size_t i = 0; i < fanIn; ++i)
+                    row[i] = offsets[i] < 0 ? 0 : src[offsets[i]];
+            }
             for (std::size_t rt = 0; rt < rowTiles; ++rt) {
                 const CrossbarArray &tile = layer.tile(rt, ct);
                 const std::size_t r0 = rt * cs;
-                for (const std::size_t slot : touched)
-                    memo[slot] = kUnset;
-                touched.clear();
+                for (std::size_t i = 0; i < filled; ++i)
+                    memo[touched[i]] = kUnset;
+                filled = 0;
                 for (std::size_t b = b0; b < b1; ++b) {
+                    const int *row = in.patches
+                        ? gathered.data() + (b - b0) * fanIn
+                        : in.data + b * in.stride;
                     std::fill(sums.begin(), sums.end(), 0);
-                    tile.addColumnSums(sums.data(), batch[b].data() + r0,
-                                       std::min(cs, layer.fanIn - r0));
+                    tile.addColumnSums(sums.data(), row + r0,
+                                       std::min(cs, fanIn - r0));
                     const std::uint64_t seed = tileSeed(roots[b], rt, ct);
                     std::uint64_t *dst =
-                        streams.data() + (b - b0) * perSample + rt * words;
+                        streams + (b - b0) * perSample + rt * words;
                     for (std::size_t c = 0; c < cols; ++c) {
                         const std::size_t slot =
                             c * span + static_cast<std::size_t>(
@@ -248,7 +301,7 @@ TileExecutor::forwardFused(
                                 tile.neuron(c).probOne(
                                     static_cast<double>(sums[c])
                                     * tile.unitCurrentUa()));
-                            touched.push_back(slot);
+                            touched[filled++] = slot;
                         }
                         // Column c's window sits at counter c * L of
                         // the tile stream, as in observeBatchSeeded.
@@ -258,17 +311,26 @@ TileExecutor::forwardFused(
                     }
                 }
             }
-            for (std::size_t b = b0; b < b1; ++b)
+            for (std::size_t b = b0; b < b1; ++b) {
+                const std::size_t image = b / in.positions;
+                const std::size_t at = image * layer.fanOut * in.positions
+                    + (b - image * in.positions);
                 for (std::size_t c = 0; c < cols; ++c) {
-                    const std::uint64_t *src = streams.data()
+                    const std::uint64_t *src = streams
                         + (b - b0) * perSample + c * rowTiles * words;
                     for (std::size_t rt = 0; rt < rowTiles; ++rt)
                         column[rt] =
                             sc::StreamView{src + rt * words, window_};
-                    emit(b, c0 + c, column);
+                    emit(accum, c0 + c, at + (c0 + c) * in.positions,
+                         column);
                 }
+            }
         }
-    });
+    };
+    // A one-reference capture fits std::function's local storage, so
+    // dispatching allocates nothing.
+    runParallel(chunks * layer.colTiles,
+                [&task](std::size_t t) { task(t); });
     if (!ledger)
         return;
     // Activity is value-independent, so it is recorded after the
@@ -290,28 +352,56 @@ TileExecutor::forwardFused(
     ledger->recordBuffer(n * layer.fanIn, merges);
 }
 
+void
+TileExecutor::forward(const MappedLayer &layer, const InputView &in,
+                      const std::vector<std::uint64_t> &roots, int *out,
+                      const std::vector<bool> *flip,
+                      aqfp::HardwareLedger *ledger) const
+{
+    forwardFused(layer, in, roots, ledger,
+                 [&](const sc::AccumulationModule &accum, std::size_t col,
+                     std::size_t at,
+                     const std::vector<sc::StreamView> &column) {
+                     const int v = accum.accumulate(column);
+                     out[at] = flip && (*flip)[col] ? -v : v;
+                 });
+}
+
+void
+TileExecutor::forwardDecoded(const MappedLayer &layer, const InputView &in,
+                             const std::vector<std::uint64_t> &roots,
+                             double *out,
+                             aqfp::HardwareLedger *ledger) const
+{
+    forwardFused(layer, in, roots, ledger,
+                 [&](const sc::AccumulationModule &accum, std::size_t,
+                     std::size_t at,
+                     const std::vector<sc::StreamView> &column) {
+                     out[at] = accum.decodedSum(column);
+                 });
+}
+
 std::vector<std::vector<int>>
 TileExecutor::forwardSeeded(const MappedLayer &layer,
                             const std::vector<std::vector<int>> &batch,
                             const std::vector<std::uint64_t> &roots,
                             aqfp::HardwareLedger *ledger) const
 {
-    requireFanIn(layer, batch);
-    requireMatchingRoots(batch.size(), roots.size());
-    const std::size_t samples = batch.size();
-    std::vector<std::vector<int>> out(
-        samples, std::vector<int>(layer.fanOut, -1));
-    if (samples == 0)
-        return out;
+    return adapt<int>(layer, batch, [&](const InputView &in, int *out) {
+        forward(layer, in, roots, out, nullptr, ledger);
+    });
+}
 
-    const sc::AccumulationModule accum(layer.rowTiles, window_, useExact,
-                                       dropFraction);
-    forwardFused(layer, batch, roots, accum, ledger,
-                 [&](std::size_t b, std::size_t col,
-                     const std::vector<sc::StreamView> &column) {
-                     out[b][col] = accum.accumulate(column);
-                 });
-    return out;
+std::vector<std::vector<double>>
+TileExecutor::forwardDecodedSeeded(
+    const MappedLayer &layer, const std::vector<std::vector<int>> &batch,
+    const std::vector<std::uint64_t> &roots,
+    aqfp::HardwareLedger *ledger) const
+{
+    return adapt<double>(layer, batch,
+                         [&](const InputView &in, double *out) {
+                             forwardDecoded(layer, in, roots, out, ledger);
+                         });
 }
 
 std::vector<std::vector<int>>
@@ -323,41 +413,6 @@ TileExecutor::forward(const MappedLayer &layer,
                          ledger);
 }
 
-std::vector<int>
-TileExecutor::forward(const MappedLayer &layer,
-                      const std::vector<int> &activations, Rng &rng,
-                      aqfp::HardwareLedger *ledger) const
-{
-    auto batched = forward(
-        layer, std::vector<std::vector<int>>{activations}, rng, ledger);
-    return std::move(batched[0]);
-}
-
-std::vector<std::vector<double>>
-TileExecutor::forwardDecodedSeeded(
-    const MappedLayer &layer,
-    const std::vector<std::vector<int>> &batch,
-    const std::vector<std::uint64_t> &roots,
-    aqfp::HardwareLedger *ledger) const
-{
-    requireFanIn(layer, batch);
-    requireMatchingRoots(batch.size(), roots.size());
-    const std::size_t samples = batch.size();
-    std::vector<std::vector<double>> out(
-        samples, std::vector<double>(layer.fanOut, 0.0));
-    if (samples == 0)
-        return out;
-
-    const sc::AccumulationModule accum(layer.rowTiles, window_, useExact,
-                                       dropFraction);
-    forwardFused(layer, batch, roots, accum, ledger,
-                 [&](std::size_t b, std::size_t col,
-                     const std::vector<sc::StreamView> &column) {
-                     out[b][col] = accum.decodedSum(column);
-                 });
-    return out;
-}
-
 std::vector<std::vector<double>>
 TileExecutor::forwardDecoded(const MappedLayer &layer,
                              const std::vector<std::vector<int>> &batch,
@@ -367,38 +422,41 @@ TileExecutor::forwardDecoded(const MappedLayer &layer,
                                 drawRoots(rng, batch.size()), ledger);
 }
 
+std::vector<int>
+TileExecutor::forward(const MappedLayer &layer,
+                      const std::vector<int> &activations, Rng &rng,
+                      aqfp::HardwareLedger *ledger) const
+{
+    return std::move(forward(
+        layer, std::vector<std::vector<int>>{activations}, rng, ledger)[0]);
+}
+
 std::vector<double>
 TileExecutor::forwardDecoded(const MappedLayer &layer,
                              const std::vector<int> &activations,
                              Rng &rng, aqfp::HardwareLedger *ledger) const
 {
-    auto batched = forwardDecoded(
-        layer, std::vector<std::vector<int>>{activations}, rng, ledger);
-    return std::move(batched[0]);
+    return std::move(forwardDecoded(
+        layer, std::vector<std::vector<int>>{activations}, rng, ledger)[0]);
 }
 
 std::vector<double>
 TileExecutor::latentSums(const MappedLayer &layer,
                          const std::vector<int> &activations) const
 {
-    assert(activations.size() == layer.fanIn);
+    requireActivations(layer, activations.size(), "latentSums");
     std::vector<double> out(layer.fanOut, 0.0);
+    std::vector<int> sums(layer.cs);
     for (std::size_t ct = 0; ct < layer.colTiles; ++ct) {
         const std::size_t c0 = ct * layer.cs;
-        const std::size_t cols = std::min(layer.cs, layer.fanOut - c0);
-        for (std::size_t rt = 0; rt < layer.rowTiles; ++rt) {
-            const std::size_t r0 = rt * layer.cs;
-            const std::size_t rows = std::min(layer.cs, layer.fanIn - r0);
-            std::vector<int> slice(activations.begin() + r0,
-                                   activations.begin() + r0 + rows);
-            const std::vector<int> sums =
-                layer.tile(rt, ct).columnSums(slice);
-            for (std::size_t c = 0; c < cols; ++c)
-                out[c0 + c] += sums[c];
-        }
+        std::fill(sums.begin(), sums.end(), 0);
+        for (std::size_t rt = 0; rt < layer.rowTiles; ++rt)
+            layer.tile(rt, ct).addColumnSums(
+                sums.data(), activations.data() + rt * layer.cs,
+                std::min(layer.cs, layer.fanIn - rt * layer.cs));
+        for (std::size_t c = 0; c < std::min(layer.cs, layer.fanOut - c0); ++c)
+            out[c0 + c] = sums[c] - layer.thresholds[c0 + c];
     }
-    for (std::size_t o = 0; o < layer.fanOut; ++o)
-        out[o] -= layer.thresholds[o];
     return out;
 }
 
@@ -406,8 +464,13 @@ std::vector<double>
 TileExecutor::singleTileProbabilities(
     const MappedLayer &layer, const std::vector<int> &activations) const
 {
-    assert(layer.rowTiles == 1);
-    assert(activations.size() == layer.fanIn);
+    if (layer.rowTiles != 1)
+        throw std::invalid_argument(
+            "TileExecutor::singleTileProbabilities: the layer has "
+            + std::to_string(layer.rowTiles)
+            + " row tiles, exactly 1 is required");
+    requireActivations(layer, activations.size(),
+                       "singleTileProbabilities");
     std::vector<double> out(layer.fanOut, 0.0);
     for (std::size_t ct = 0; ct < layer.colTiles; ++ct) {
         const std::size_t c0 = ct * layer.cs;

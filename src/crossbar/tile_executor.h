@@ -12,9 +12,11 @@
  * module consumes a column group's streams as the row tiles produce
  * them. One parallel task covers a contiguous chunk of samples for one
  * column group: for each row tile it computes the tile's column sums
- * straight from the samples, fills only the columns an APC reads into a
- * task-local word buffer, and then merges every (sample, column) across
- * the row tiles while those words are still in cache. Tasks run on a
+ * straight from the samples (gathering a conv layer's patches from the
+ * activation map itself, see InputView), fills only the columns an APC
+ * reads into a task-local word buffer, and then merges every (sample,
+ * column) across the row tiles while those words are still in cache,
+ * writing the outputs into the caller's buffer. Tasks run on a
  * util::ThreadPool — by default shard 0 of the process-wide
  * util::ShardedExecutorPool, so any number of executors reuse one set
  * of worker threads — about four per pool thread. Determinism does not
@@ -44,6 +46,7 @@
 #define SUPERBNN_CROSSBAR_TILE_EXECUTOR_H
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -53,6 +56,24 @@
 #include "util/thread_pool.h"
 
 namespace superbnn::crossbar {
+
+/**
+ * A non-owning view of one executor input: `rows` samples of
+ * layer.fanIn activations in {-1, 0, +1}. Without a patch map, sample s
+ * is the row at data + s * stride. With one, data holds
+ * rows / positions images of `stride` elements each, and sample
+ * s = image * positions + pos is the receptive field at position pos:
+ * its activation i is image[patches[pos * fanIn + i]], or 0 (a padding
+ * row, driven with no current) where that offset is -1.
+ */
+struct InputView
+{
+    const int *data = nullptr;
+    std::size_t rows = 0;
+    std::size_t stride = 0;
+    const std::int32_t *patches = nullptr; ///< positions x fanIn offsets
+    std::size_t positions = 1;
+};
 
 /** Executes MappedLayers on the simulated hardware. */
 class TileExecutor
@@ -80,106 +101,97 @@ class TileExecutor
                           std::size_t threads = 0);
 
     /**
-     * Full stochastic forward pass of one layer.
+     * One stochastic forward pass of @p layer (thresholds installed)
+     * over in.rows samples: the pass every other overload adapts.
+     * Sample s (image s / in.positions, position pos = s % in.positions)
+     * writes its +/-1 output of column col, negated where (*flip)[col],
+     * to out[image * fanOut * positions + col * positions + pos], a conv
+     * layer's output map, channel-major per image (out[s * fanOut + col]
+     * for direct rows). Tasks gather their patches themselves, read
+     * direct rows in place and write disjoint outputs.
      *
-     * @param layer        the mapped layer (with thresholds installed)
-     * @param activations  +/-1 inputs, length layer.fanIn
-     * @param rng          randomness source (device noise); exactly one
-     *                     raw draw is consumed as the per-sample root
-     *                     seed
-     * @param ledger       optional hardware-activity ledger: when
-     *                     non-null the pass reports observed tile
-     *                     cycles, Bernoulli draws, APC merges,
-     *                     column-group serialization steps and buffer
-     *                     traffic into it (see aqfp::HardwareLedger;
-     *                     totals are bit-identical across thread
-     *                     counts, SIMD arms, and batch splits)
-     * @return +/-1 outputs, length layer.fanOut
-     */
-    std::vector<int> forward(const MappedLayer &layer,
-                             const std::vector<int> &activations,
-                             Rng &rng,
-                             aqfp::HardwareLedger *ledger = nullptr) const;
-
-    /**
-     * Batched forward: programmed tiles are mapped once and reused for
-     * every sample; tile observations for all (sample, rowTile,
-     * colTile) combinations run as one parallel phase. Bit-identical to
-     * calling forward() per sample with the same starting @p rng state.
+     * Sample s's outputs depend ONLY on (layer, its input, roots[s]),
+     * never on which other samples share the call: the request-level
+     * determinism hook the inference service batches through (see
+     * docs/SERVING.md).
      *
-     * @param layer   the mapped layer
-     * @param batch   +/-1 input vectors, each of length layer.fanIn
-     * @param rng     root-seed source; consumes batch.size() raw draws
-     * @param ledger  optional hardware-activity ledger (see the
-     *                single-sample overload)
-     * @return one +/-1 output vector (length layer.fanOut) per sample
-     */
-    std::vector<std::vector<int>>
-    forward(const MappedLayer &layer,
-            const std::vector<std::vector<int>> &batch, Rng &rng,
-            aqfp::HardwareLedger *ledger = nullptr) const;
-
-    /**
-     * Batched forward with caller-supplied per-sample root draws
-     * instead of a shared Rng: @p roots[b] plays the role of the one
-     * raw draw the Rng overload takes for sample b, so sample b's
-     * outputs depend ONLY on (layer, batch[b], roots[b]) — never on
-     * which other samples share the megabatch. This is the
-     * request-level determinism hook the inference service layer
-     * batches through (see docs/SERVING.md): a request coalesced into
-     * any batch is bit-identical to the same request run alone with
-     * the same root. Passing roots drawn as `rng.raw()()` in sample
-     * order reproduces the Rng overload exactly.
+     * Nothing is scanned: the caller guarantees in's extent, values in
+     * {-1, 0, +1}, a fanOut-long flip mask and room for every output
+     * (HardwareEvaluator checks its inputs once, at its boundary;
+     * executor outputs are +/-1 by construction).
      *
-     * @param layer   the mapped layer
-     * @param batch   +/-1 input vectors, each of length layer.fanIn
      * @param roots   one raw 64-bit root draw per sample
-     * @param ledger  optional hardware-activity ledger
-     * @throws std::invalid_argument when roots.size() != batch.size(),
-     *         a sample's length is not layer.fanIn, or an activation is
-     *         not -1, 0 or +1 (checked in every build, as in every
-     *         forward overload; the message names the sample, index
-     *         and value)
+     * @param flip    optional per-column sign flips
+     * @param ledger  optional hardware-activity ledger: when non-null the
+     *                pass reports observed tile cycles, Bernoulli draws,
+     *                APC merges, column-group serialization steps and
+     *                buffer traffic into it (see aqfp::HardwareLedger;
+     *                totals are bit-identical across thread counts, SIMD
+     *                arms, and batch splits)
+     * @throws std::invalid_argument when roots.size() != in.rows
+     */
+    void forward(const MappedLayer &layer, const InputView &in,
+                 const std::vector<std::uint64_t> &roots, int *out,
+                 const std::vector<bool> *flip,
+                 aqfp::HardwareLedger *ledger = nullptr) const;
+
+    /**
+     * forward's multi-bit twin, used for the classifier head: instead of
+     * the final comparator, the APC count register is read out and
+     * decoded to the accumulated bipolar value (minus the installed
+     * thresholds), written at the same index without flips. Still fully
+     * stochastic — it runs on the same observed bitstreams.
+     * @throws std::invalid_argument as forward
+     */
+    void forwardDecoded(const MappedLayer &layer, const InputView &in,
+                        const std::vector<std::uint64_t> &roots,
+                        double *out,
+                        aqfp::HardwareLedger *ledger = nullptr) const;
+
+    /**
+     * Adapters over the two passes above for vectors of +/-1 samples,
+     * each of length layer.fanIn, returning one output vector (length
+     * layer.fanOut) per sample, without flips. They take outside data,
+     * so they check it in every build. The Seeded overloads take one
+     * root per sample as the passes do; the Rng overloads draw them as
+     * `rng.raw()()` in sample order.
+     *
+     * @throws std::invalid_argument when roots.size() != batch.size(), a
+     *         sample's length is not layer.fanIn, or an activation is not
+     *         -1, 0 or +1 (the message names the sample, index and value)
      */
     std::vector<std::vector<int>>
     forwardSeeded(const MappedLayer &layer,
                   const std::vector<std::vector<int>> &batch,
                   const std::vector<std::uint64_t> &roots,
                   aqfp::HardwareLedger *ledger = nullptr) const;
-
-    /**
-     * Multi-bit readout used for the classifier head: instead of the
-     * final comparator, the APC count register is read out directly and
-     * decoded to the accumulated bipolar value (minus the installed
-     * thresholds). Still fully stochastic — it runs on the same observed
-     * bitstreams.
-     */
-    std::vector<double>
-    forwardDecoded(const MappedLayer &layer,
-                   const std::vector<int> &activations, Rng &rng,
-                   aqfp::HardwareLedger *ledger = nullptr) const;
-
-    /** Batched forwardDecoded (same exactness contract as forward). */
-    std::vector<std::vector<double>>
-    forwardDecoded(const MappedLayer &layer,
-                   const std::vector<std::vector<int>> &batch, Rng &rng,
-                   aqfp::HardwareLedger *ledger = nullptr) const;
-
-    /**
-     * Batched forwardDecoded with caller-supplied per-sample roots
-     * (same per-request determinism contract as forwardSeeded).
-     * @throws std::invalid_argument as forwardSeeded
-     */
     std::vector<std::vector<double>>
     forwardDecodedSeeded(const MappedLayer &layer,
                          const std::vector<std::vector<int>> &batch,
                          const std::vector<std::uint64_t> &roots,
                          aqfp::HardwareLedger *ledger = nullptr) const;
+    std::vector<std::vector<int>>
+    forward(const MappedLayer &layer,
+            const std::vector<std::vector<int>> &batch, Rng &rng,
+            aqfp::HardwareLedger *ledger = nullptr) const;
+    std::vector<std::vector<double>>
+    forwardDecoded(const MappedLayer &layer,
+                   const std::vector<std::vector<int>> &batch, Rng &rng,
+                   aqfp::HardwareLedger *ledger = nullptr) const;
+    std::vector<int> forward(const MappedLayer &layer,
+                             const std::vector<int> &activations,
+                             Rng &rng,
+                             aqfp::HardwareLedger *ledger = nullptr) const;
+    std::vector<double>
+    forwardDecoded(const MappedLayer &layer,
+                   const std::vector<int> &activations, Rng &rng,
+                   aqfp::HardwareLedger *ledger = nullptr) const;
 
     /**
      * Latent pre-binarization sums: sum_i a_i * w_ij - vth_j, the ideal
      * (noise-free) value each output's comparison is centred on. Used by
      * tests to verify the stochastic path converges to the ideal one.
+     * @throws std::invalid_argument when activations.size() != fanIn
      */
     std::vector<double>
     latentSums(const MappedLayer &layer,
@@ -192,13 +204,12 @@ class TileExecutor
      * exhaustive expectation over tiles via normal approximation is not
      * used — for window 1 and a single row tile it is the neuron
      * probability itself, which tests exercise.
+     * @throws std::invalid_argument when the layer has more than one row
+     *         tile or activations.size() != fanIn
      */
     std::vector<double>
     singleTileProbabilities(const MappedLayer &layer,
                             const std::vector<int> &activations) const;
-
-    std::size_t window() const { return window_; }
-    bool usesExactApc() const { return useExact; }
 
     /** Effective concurrency (1 when running sequentially). */
     std::size_t threads() const;
@@ -223,29 +234,22 @@ class TileExecutor
                      const std::function<void(std::size_t)> &task) const;
 
     /**
-     * The fused forward shared by forward and forwardDecoded: one task
-     * per (sample chunk, column group) observes the group's row tiles
-     * and merges each (sample, column) across them; @p emit consumes
-     * each merged column. @p roots carries one pre-drawn root per
-     * sample (the Rng-based overloads draw them in sample order before
-     * any parallel work). While a task works through one row tile
-     * for a block of its samples, thresholds are memoized by (column,
-     * column sum), so each distinct pair pays one erf; this pays off
-     * where many samples share a tile (conv patches).
-     * Tile, merge and buffer activity are recorded into @p ledger after
-     * the barrier, in tile order and in closed form (they do not
-     * depend on values).
+     * The fused pass behind forward and forwardDecoded: one task per
+     * (sample chunk, column group) gathers its samples' patches (when
+     * @p in has a patch map), observes the group's row tiles and merges
+     * each (sample, column) across them; @p emit(accum, col, at, streams)
+     * consumes each merged column, `at` being its output index. Within a
+     * row tile and a block of samples, thresholds are memoized by
+     * (column, column sum), so each distinct pair pays one erf (conv
+     * patches share many). Tile, merge and buffer activity are recorded
+     * into @p ledger after the barrier, in tile order and in closed form
+     * (they do not depend on values).
      */
-    void
-    forwardFused(const MappedLayer &layer,
-                 const std::vector<std::vector<int>> &batch,
-                 const std::vector<std::uint64_t> &roots,
-                 const sc::AccumulationModule &accum,
-                 aqfp::HardwareLedger *ledger,
-                 const std::function<void(
-                     std::size_t b, std::size_t col,
-                     const std::vector<sc::StreamView> &streams)> &emit)
-        const;
+    template <typename Emit>
+    void forwardFused(const MappedLayer &layer, const InputView &in,
+                      const std::vector<std::uint64_t> &roots,
+                      aqfp::HardwareLedger *ledger,
+                      const Emit &emit) const;
 };
 
 } // namespace superbnn::crossbar

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "crossbar/crossbar_array.h"
 #include "crossbar/lim_cell.h"
 #include "crossbar/mapper.h"
@@ -343,6 +345,48 @@ TEST(ExecutorTest, SingleTileProbabilities)
     for (double p : probs) {
         EXPECT_GE(p, 0.0);
         EXPECT_LE(p, 1.0);
+    }
+}
+
+TEST(ExecutorTest, LatentSumsRejectsWrongActivationCount)
+{
+    // Checked in every build: unchecked, a short vector is read past
+    // its end by the row-tile slices.
+    Rng rng(12);
+    const CrossbarMapper mapper(8, atten(), 2.4);
+    const MappedLayer layer = mapper.map(randomSignedMatrix(4, 20, rng));
+    const TileExecutor exec(1);
+    try {
+        exec.latentSums(layer, std::vector<int>(19, 1));
+        ADD_FAILURE() << "19 activations were accepted for fan-in 20";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "TileExecutor::latentSums: 19 activations, "
+                               "the layer's fan-in is 20");
+    }
+}
+
+TEST(ExecutorTest, SingleTileProbabilitiesRejectsBadShapes)
+{
+    Rng rng(13);
+    const CrossbarMapper mapper(8, atten(), 2.4);
+    const MappedLayer two_tiles = mapper.map(randomSignedMatrix(4, 12, rng));
+    ASSERT_EQ(two_tiles.rowTiles, 2u);
+    const TileExecutor exec(1);
+    try {
+        exec.singleTileProbabilities(two_tiles, std::vector<int>(12, 1));
+        ADD_FAILURE() << "a two-row-tile layer was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "TileExecutor::singleTileProbabilities: the "
+                               "layer has 2 row tiles, exactly 1 is "
+                               "required");
+    }
+    const MappedLayer one_tile = mapper.map(randomSignedMatrix(4, 6, rng));
+    try {
+        exec.singleTileProbabilities(one_tile, std::vector<int>(8, 1));
+        ADD_FAILURE() << "8 activations were accepted for fan-in 6";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "TileExecutor::singleTileProbabilities: 8 "
+                               "activations, the layer's fan-in is 6");
     }
 }
 

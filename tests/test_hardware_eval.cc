@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -371,4 +374,289 @@ TEST(HardwareEvalMapCheck, NonFiniteThresholdNamesTheLayer)
                   std::string::npos)
             << e.what();
     }
+}
+
+namespace {
+
+/**
+ * A second implementation of the evaluator, built only from the public
+ * executor API: every patch materialized as its own vector and run
+ * through forwardSeeded, outputs flipped and reshuffled channel-major,
+ * 2x2 max-pooled, and the head read out through forwardDecodedSeeded.
+ * Each request draws its roots from Rng(seed), layer by layer, as
+ * classScoresSeeded documents; counts() sums every pass's ledger.
+ */
+class ReferenceEvaluator
+{
+  public:
+    ReferenceEvaluator(const HardwareConfig &hw,
+                       const std::vector<std::uint64_t> &seeds)
+        : mapper(hw.crossbarSize, aqfp::AttenuationModel(), hw.deltaIinUa),
+          exec(hw.window, hw.exactApc, hw.dropFraction, 1)
+    {
+        for (const std::uint64_t seed : seeds)
+            engines.emplace_back(seed);
+    }
+
+    std::vector<std::vector<double>>
+    cnnScores(const RandomizedCnn &cnn, const std::vector<Tensor> &samples)
+    {
+        std::vector<std::vector<int>> acts = binarize(samples);
+        std::size_t side = cnn.config().inputSide;
+        std::size_t in_ch = cnn.config().inputChannels;
+        for (const ConvCellRef &cell : cnn.cells()) {
+            const FoldedBn folded =
+                foldBatchNorm(*cell.bn, cell.conv->alpha().value);
+            crossbar::MappedLayer layer =
+                mapper.map(cell.conv->signedWeightMatrix());
+            crossbar::CrossbarMapper::setThresholds(layer, folded.vth);
+            const std::size_t positions = side * side;
+            std::vector<std::vector<int>> patches;
+            for (const std::vector<int> &map : acts)
+                for (std::size_t y = 0; y < side; ++y)
+                    for (std::size_t x = 0; x < side; ++x) {
+                        std::vector<int> &patch =
+                            patches.emplace_back(in_ch * 9, 0);
+                        std::size_t p = 0;
+                        for (std::size_t c = 0; c < in_ch; ++c)
+                            for (int ky = -1; ky <= 1; ++ky)
+                                for (int kx = -1; kx <= 1; ++kx, ++p) {
+                                    const long iy = long(y) + ky;
+                                    const long ix = long(x) + kx;
+                                    if (iy >= 0 && ix >= 0
+                                        && iy < long(side)
+                                        && ix < long(side))
+                                        patch[p] = map[(c * side + iy) * side
+                                                       + ix];
+                                }
+                    }
+            const std::vector<std::vector<int>> outs =
+                exec.forwardSeeded(layer, patches, draw(positions),
+                                   ledger());
+            const std::size_t out_ch = layer.fanOut;
+            const std::size_t half = cell.pooled ? side / 2 : side;
+            for (std::size_t b = 0; b < acts.size(); ++b) {
+                std::vector<int> conv(out_ch * positions);
+                for (std::size_t pos = 0; pos < positions; ++pos)
+                    for (std::size_t o = 0; o < out_ch; ++o) {
+                        const int v = outs[b * positions + pos][o];
+                        conv[o * positions + pos] = folded.flip[o] ? -v : v;
+                    }
+                if (!cell.pooled) {
+                    acts[b] = std::move(conv);
+                    continue;
+                }
+                acts[b].assign(out_ch * half * half, -1);
+                for (std::size_t o = 0; o < out_ch; ++o)
+                    for (std::size_t y = 0; y < half; ++y)
+                        for (std::size_t x = 0; x < half; ++x)
+                            for (std::size_t k = 0; k < 4; ++k)
+                                acts[b][(o * half + y) * half + x] = std::max(
+                                    acts[b][(o * half + y) * half + x],
+                                    conv[(o * side + 2 * y + k / 2) * side
+                                         + 2 * x + k % 2]);
+            }
+            side = half;
+            in_ch = out_ch;
+        }
+        return head(cnn.head(), acts);
+    }
+
+    std::vector<std::vector<double>>
+    mlpScores(const RandomizedMlp &mlp, const std::vector<Tensor> &samples)
+    {
+        std::vector<std::vector<int>> acts = binarize(samples);
+        for (const MlpCellRef &cell : mlp.cells()) {
+            const FoldedBn folded =
+                foldBatchNorm(*cell.bn, cell.linear->alpha().value);
+            crossbar::MappedLayer layer =
+                mapper.map(cell.linear->signedWeights());
+            crossbar::CrossbarMapper::setThresholds(layer, folded.vth);
+            acts = exec.forwardSeeded(layer, acts, draw(1), ledger());
+            for (std::vector<int> &sample : acts)
+                for (std::size_t j = 0; j < sample.size(); ++j)
+                    if (folded.flip[j])
+                        sample[j] = -sample[j];
+        }
+        return head(mlp.head(), acts);
+    }
+
+    aqfp::LedgerCounts counts() const
+    {
+        aqfp::LedgerCounts total;
+        for (const aqfp::HardwareLedger &l : ledgers)
+            total += l.totals();
+        return total;
+    }
+
+  private:
+    crossbar::CrossbarMapper mapper;
+    crossbar::TileExecutor exec;
+    std::vector<Rng> engines;
+    std::deque<aqfp::HardwareLedger> ledgers;
+
+    static std::vector<std::vector<int>>
+    binarize(const std::vector<Tensor> &samples)
+    {
+        std::vector<std::vector<int>> acts;
+        for (const Tensor &s : samples) {
+            std::vector<int> &a = acts.emplace_back(s.size());
+            for (std::size_t i = 0; i < s.size(); ++i)
+                a[i] = s[i] >= 0.0f ? 1 : -1;
+        }
+        return acts;
+    }
+
+    /** @p group roots per request, request-major. */
+    std::vector<std::uint64_t> draw(std::size_t group)
+    {
+        std::vector<std::uint64_t> roots;
+        for (Rng &engine : engines)
+            for (std::size_t p = 0; p < group; ++p)
+                roots.push_back(engine.raw()());
+        return roots;
+    }
+
+    aqfp::HardwareLedger *ledger() { return &ledgers.emplace_back(); }
+
+    std::vector<std::vector<double>>
+    head(const nn::BinaryLinear &linear,
+         const std::vector<std::vector<int>> &acts)
+    {
+        std::vector<std::vector<double>> scores = exec.forwardDecodedSeeded(
+            mapper.map(linear.signedWeights()), acts, draw(1), ledger());
+        for (std::vector<double> &sample : scores)
+            for (std::size_t j = 0; j < sample.size(); ++j)
+                sample[j] *= linear.alpha().value[j];
+        return scores;
+    }
+};
+
+std::uint64_t
+bitPatternOf(double value)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+/** Bit-exact equality of two score batches, naming the first miss. */
+void
+expectSameScores(const std::vector<std::vector<double>> &got,
+                 const std::vector<std::vector<double>> &want,
+                 const std::string &where)
+{
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t b = 0; b < got.size(); ++b) {
+        ASSERT_EQ(got[b].size(), want[b].size()) << where;
+        for (std::size_t j = 0; j < got[b].size(); ++j)
+            ASSERT_EQ(bitPatternOf(got[b][j]), bitPatternOf(want[b][j]))
+                << where << " sample " << b << " class " << j << ": "
+                << got[b][j] << " vs " << want[b][j];
+    }
+}
+
+} // namespace
+
+TEST(HardwareEvalDifferential, FlatCnnPathMatchesPatchReference)
+{
+    // Pooled/unpooled mixes, odd channel counts and odd sides; Cs 4
+    // splits every layer into several row tiles and leaves a partial
+    // last column group, Cs 16 leaves partial groups on every layer.
+    struct Geometry
+    {
+        std::size_t inChannels, side;
+        std::vector<std::size_t> channels;
+        std::vector<bool> pooled;
+        bool exactApc;
+    };
+    const std::vector<Geometry> geometries = {
+        {3, 8, {5, 3}, {true, false}, false},
+        {1, 7, {7}, {true}, true},
+        {2, 6, {3, 6, 5}, {false, true, true}, false},
+    };
+    const aqfp::AttenuationModel atten;
+    Rng rng(31);
+    for (std::size_t g = 0; g < geometries.size(); ++g) {
+        const Geometry &geo = geometries[g];
+        RandomizedCnn::Config ccfg;
+        ccfg.inputChannels = geo.inChannels;
+        ccfg.inputSide = geo.side;
+        ccfg.channels = geo.channels;
+        ccfg.poolAfter = geo.pooled;
+        ccfg.classes = 5;
+        const RandomizedCnn cnn(ccfg, AqfpBehavior{16, 2.4, 0.0}, atten, rng);
+        for (const std::size_t cs : {4, 16}) {
+            for (const std::size_t batch : {1, 3, 8}) {
+                std::vector<Tensor> samples;
+                std::vector<std::uint64_t> seeds;
+                for (std::size_t b = 0; b < batch; ++b) {
+                    samples.push_back(Tensor::randn(
+                        {1, geo.inChannels, geo.side, geo.side}, rng));
+                    seeds.push_back(rng.raw()());
+                }
+                for (const std::size_t threads : {1, 3, 4}) {
+                    const HardwareConfig hw{cs,    8,       2.4, geo.exactApc,
+                                            0.25, threads, 8};
+                    ReferenceEvaluator reference(hw, seeds);
+                    const auto want = reference.cnnScores(cnn, samples);
+                    HardwareEvaluator eval(atten, hw);
+                    eval.mapCnn(cnn);
+                    aqfp::LedgerCounts counts;
+                    const std::string where = "geometry " + std::to_string(g)
+                        + " Cs " + std::to_string(cs) + " batch "
+                        + std::to_string(batch) + " threads "
+                        + std::to_string(threads);
+                    expectSameScores(
+                        eval.classScoresSeeded(samples, seeds, &counts), want,
+                        where);
+                    EXPECT_EQ(counts, reference.counts()) << where;
+                }
+            }
+        }
+    }
+}
+
+TEST(HardwareEvalDifferential, FlatMlpPathMatchesVectorReference)
+{
+    const aqfp::AttenuationModel atten;
+    Rng rng(32);
+    const RandomizedMlp mlp(37, {21, 11}, 6, AqfpBehavior{8, 2.4, 0.0},
+                            atten, rng);
+    std::vector<Tensor> samples;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t b = 0; b < 5; ++b) {
+        samples.push_back(Tensor::randn({1, 37}, rng));
+        seeds.push_back(rng.raw()());
+    }
+    for (const std::size_t threads : {1, 3, 4}) {
+        const HardwareConfig hw{8, 8, 2.4, false, 0.25, threads, 8};
+        ReferenceEvaluator reference(hw, seeds);
+        const auto want = reference.mlpScores(mlp, samples);
+        HardwareEvaluator eval(atten, hw);
+        eval.mapMlp(mlp);
+        aqfp::LedgerCounts counts;
+        const std::string where = "threads " + std::to_string(threads);
+        expectSameScores(eval.classScoresSeeded(samples, seeds, &counts),
+                         want, where);
+        EXPECT_EQ(counts, reference.counts()) << where;
+    }
+}
+
+TEST(HardwareEvalMapCheck, HeadFanInMustMatchTheLastMap)
+{
+    // The evaluator's head reads the last map in place, so a head whose
+    // fan-in disagrees with it is refused at mapping, not read past.
+    Rng rng(33);
+    const aqfp::AttenuationModel atten;
+    RandomizedCnn::Config ccfg;
+    ccfg.inputSide = 6;
+    ccfg.channels = {4};
+    ccfg.poolAfter = {true};
+    RandomizedCnn cnn(ccfg, AqfpBehavior{16, 2.4, 0.0}, atten, rng);
+    HardwareEvaluator eval(atten, {16, 2, 2.4, false, 0.5, 1, 8});
+    ASSERT_NO_THROW(eval.mapCnn(cnn));
+    cnn.head().weight().value = Tensor::randn({10, 4 * 3 * 3 + 1}, rng);
+    EXPECT_THROW(eval.mapCnn(cnn), std::invalid_argument);
+    EXPECT_EQ(eval.inputSize(), 0u) << "a failed map stays unmapped";
 }

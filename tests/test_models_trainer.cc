@@ -146,6 +146,36 @@ TEST(RandomizedCnnTest, StructureAndForward)
     EXPECT_EQ(y.dim(1), 10u);
 }
 
+TEST(RandomizedCnnTest, InconsistentConfigThrows)
+{
+    // Checked in every build: unchecked, the constructor indexes
+    // poolAfter past its end, or builds a head with no conv cell.
+    Rng rng(7);
+    const auto model_atten = atten();
+    const auto error = [&](const RandomizedCnn::Config &cfg) {
+        try {
+            RandomizedCnn cnn(cfg, AqfpBehavior{16, 2.4, 0.0}, model_atten,
+                              rng);
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    RandomizedCnn::Config cfg;
+    cfg.inputSide = 8;
+    cfg.channels = {4, 6};
+    cfg.poolAfter = {true};
+    EXPECT_EQ(error(cfg), "RandomizedCnn: poolAfter has 1 entries, "
+                          "channels has 2");
+    cfg.channels = {};
+    cfg.poolAfter = {};
+    EXPECT_EQ(error(cfg), "RandomizedCnn: channels is empty (at least "
+                          "one conv cell is required)");
+    cfg.channels = {4};
+    cfg.poolAfter = {true};
+    EXPECT_EQ(error(cfg), "");
+}
+
 TEST(RandomizedCnnTest, TrainsOnSyntheticCifarSubset)
 {
     Rng rng(7);

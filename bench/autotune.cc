@@ -2,8 +2,8 @@
  * @file
  * Design-space autotuner over the Table 2/3 workloads: sweeps a
  * CoOptSpace with the ledger-driven DesignSpaceExplorer (every feasible
- * candidate measured through the MeasuredCostProbe, mapped models
- * shared via the ProgrammedModelCache) and emits, per workload,
+ * candidate measured with EnergyModel::measureWorkload) and emits, per
+ * workload,
  *
  *  - the candidates ranked by MEASURED energy per image,
  *  - the Pareto front of measured energy vs AME (the two competing
@@ -11,11 +11,7 @@
  *  - the heterogeneous per-layer plan the explorer's coordinate
  *    descent converges to from the best homogeneous seed, with the
  *    measured-energy delta and the pruning stats (plans costed vs the
- *    full per-layer cross-product), and
- *  - the cache hit/miss counters, keyed (geometry) and named sections
- *    reported separately — candidates differing only in L share mapped
- *    models, candidates differing only in deltaIin share calibration
- *    counts, and repeated ResNet block geometries share both.
+ *    full per-layer cross-product).
  *
  * Everything emitted is deterministic (counts are value-independent;
  * no timing data), so CI can diff the artifact across thread counts
@@ -63,9 +59,6 @@ void
 sweepWorkload(const aqfp::WorkloadSpec &workload,
               const CoOptSpace &space, bool first)
 {
-    // A fresh explorer (and therefore a fresh model cache) per
-    // workload keeps the cache counters attributable to one sweep and
-    // bounds resident mapped-model memory to one workload's geometries.
     const DesignSpaceExplorer explorer((aqfp::AttenuationModel()));
     ExploreOptions options;
     options.measure = true; // threads = 0: fan out over every shard
@@ -76,14 +69,10 @@ sweepWorkload(const aqfp::WorkloadSpec &workload,
     const auto front = DesignSpaceExplorer::paretoFront(
         candidates, costs::measuredEnergy(), costs::ame());
     // Heterogeneous stage: greedy per-layer coordinate descent from the
-    // best homogeneous candidate under measured energy. The probe's
-    // memoized counts make the re-measure nearly free.
+    // best homogeneous candidate under measured energy.
     const HeterogeneousExploreResult hetero =
         explorer.exploreHeterogeneous(workload, space, options,
                                       costs::measuredEnergy());
-    const auto model_stats = explorer.modelCache()->geometryStats();
-    const auto named_stats = explorer.modelCache()->namedStats();
-    const auto counts_stats = explorer.probe().countsStats();
 
     if (!first)
         std::printf(",\n");
@@ -134,33 +123,15 @@ sweepWorkload(const aqfp::WorkloadSpec &workload,
                     ? 100.0 * (seed_energy - plan_energy) / seed_energy
                     : 0.0);
     std::printf("  \"evaluatedPlans\":%zu,\"crossProduct\":%.17g,"
-                "\"sweeps\":%zu},\n",
+                "\"sweeps\":%zu}}",
                 hetero.evaluatedPlans, hetero.crossProduct,
                 hetero.sweeps);
-
-    std::printf(" \"cache\":{\"modelHits\":%llu,\"modelMisses\":%llu,"
-                "\"namedHits\":%llu,\"namedMisses\":%llu,"
-                "\"countsHits\":%llu,\"countsMisses\":%llu}}",
-                static_cast<unsigned long long>(model_stats.hits),
-                static_cast<unsigned long long>(model_stats.misses),
-                static_cast<unsigned long long>(named_stats.hits),
-                static_cast<unsigned long long>(named_stats.misses),
-                static_cast<unsigned long long>(counts_stats.hits),
-                static_cast<unsigned long long>(counts_stats.misses));
     std::fprintf(stderr, "swept %s: %zu candidates, pareto %zu, "
                  "hetero delta %.3g aJ over %zu plans "
-                 "(cross-product %.3g, %zu sweeps), "
-                 "model %llu/%llu, named %llu/%llu, counts %llu/%llu "
-                 "(hits/misses)\n",
+                 "(cross-product %.3g, %zu sweeps)\n",
                  workload.name.c_str(), candidates.size(), front.size(),
                  seed_energy - plan_energy, hetero.evaluatedPlans,
-                 hetero.crossProduct, hetero.sweeps,
-                 static_cast<unsigned long long>(model_stats.hits),
-                 static_cast<unsigned long long>(model_stats.misses),
-                 static_cast<unsigned long long>(named_stats.hits),
-                 static_cast<unsigned long long>(named_stats.misses),
-                 static_cast<unsigned long long>(counts_stats.hits),
-                 static_cast<unsigned long long>(counts_stats.misses));
+                 hetero.crossProduct, hetero.sweeps);
 }
 
 } // namespace
@@ -172,18 +143,14 @@ main()
     std::printf("\"workloads\":[\n");
 
     // Table 3 (MNIST MLP): small layers, so the space can afford the
-    // full deltaIin axis — its candidates share calibration counts —
-    // and several crossbar sizes.
+    // full deltaIin axis and several crossbar sizes.
     CoOptSpace mnist_space;
     mnist_space.crossbarSizes = {8, 16, 18, 36};
     mnist_space.bitstreamLengths = {4, 16};
     mnist_space.grayZones = {1.6, 2.4, 3.2};
     sweepWorkload(aqfp::workloads::mnistMlp(), mnist_space, true);
 
-    // Table 2 (CIFAR-scale): trimmed axes keep the mapped-model
-    // footprint and replay time bench-sized; the L axis still
-    // exercises model-cache sharing (one mapped model serves both
-    // windows of each geometry).
+    // Table 2 (CIFAR-scale): two crossbar sizes x two windows.
     CoOptSpace cifar_space;
     cifar_space.crossbarSizes = {16, 36};
     cifar_space.bitstreamLengths = {16, 32};

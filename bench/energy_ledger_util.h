@@ -1,11 +1,9 @@
 /**
  * @file
- * Shared helpers for the energy-ledger benches and their golden-file
- * regression test: geometry-only mapped layers, single-position ledger
- * replay of a LayerSpec, and the deterministic probe JSON. The
- * energy_probe bench and tests/test_energy_ledger.cc both emit their
- * JSON through this header, so the bytes CI diffs across thread counts
- * and SIMD arms are produced by exactly one code path.
+ * The deterministic energy-probe JSON, shared by the energy_probe bench
+ * and its golden-file regression test (tests/test_energy_ledger.cc), so
+ * the bytes CI diffs across thread counts and SIMD arms are produced by
+ * exactly one code path.
  */
 
 #ifndef SUPERBNN_BENCH_ENERGY_LEDGER_UTIL_H
@@ -27,49 +25,6 @@ namespace energy_ledger_util {
 using namespace superbnn;
 
 /**
- * A MappedLayer of the given geometry with unprogrammed (inactive)
- * cells — thin alias of crossbar::geometryLayer, which the
- * programmed-model cache shares (see src/crossbar/mapper.h).
- */
-inline crossbar::MappedLayer
-geometryLayer(std::size_t fan_in, std::size_t fan_out, std::size_t cs,
-              const aqfp::AttenuationModel &atten,
-              double delta_iin_ua = 2.4)
-{
-    return crossbar::geometryLayer(fan_in, fan_out, cs, atten,
-                                   delta_iin_ua);
-}
-
-/**
- * Observed ledger counts for one execution of @p layer on a single
- * input position. A LayerSpec with P spatial positions runs P
- * identical passes, so pricing scales these counts by P via
- * LedgerPricingContext::countScale.
- */
-inline aqfp::LedgerCounts
-measureSinglePosition(const crossbar::TileExecutor &exec,
-                      const crossbar::MappedLayer &layer)
-{
-    aqfp::HardwareLedger ledger;
-    Rng rng(1);
-    const std::vector<int> acts(layer.fanIn, 1);
-    exec.forward(layer, acts, rng, &ledger);
-    return ledger.totals();
-}
-
-/**
- * Pricing context for a single-position replay of @p spec — thin alias
- * of aqfp::layerReplayContext, which the MeasuredCostProbe shares.
- */
-inline aqfp::LedgerPricingContext
-replayContext(const aqfp::LayerSpec &spec,
-              const aqfp::AcceleratorConfig &config,
-              std::size_t max_act_bits)
-{
-    return aqfp::layerReplayContext(spec, config, max_act_bits, 1.0);
-}
-
-/**
  * The fixed probe workload (two geometry layers at Cs = 16, window 16,
  * a 6-sample batch through forward + forwardDecoded on the default
  * shared-pool executor), measured, priced and reconciled, as
@@ -83,9 +38,9 @@ energyProbeJson()
     const aqfp::AttenuationModel atten;
     const aqfp::AcceleratorConfig config{16, 16, 5.0, 2.4};
     const crossbar::MappedLayer l1 =
-        geometryLayer(96, 48, config.crossbarSize, atten);
+        crossbar::geometryLayer(96, 48, config.crossbarSize, atten);
     const crossbar::MappedLayer l2 =
-        geometryLayer(48, 10, config.crossbarSize, atten);
+        crossbar::geometryLayer(48, 10, config.crossbarSize, atten);
 
     // threads = 0: the shared pool's shard 0, sized by SUPERBNN_THREADS —
     // the CI diff legs vary real scheduling underneath these counts.
@@ -120,7 +75,7 @@ energyProbeJson()
     out += "\"layers\":[\n";
     for (int i = 0; i < 2; ++i) {
         aqfp::LedgerPricingContext ctx =
-            replayContext(specs[i], config, max_act_bits);
+            aqfp::layerReplayContext(specs[i], config, max_act_bits);
         ctx.countScale = 1.0;
         ctx.images = 6.0; // counts cover the whole 6-sample batch
         const aqfp::EnergyReport measured =

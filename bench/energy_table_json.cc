@@ -2,29 +2,21 @@
  * @file
  * Emits the Table 2/3 energy/latency rows as a machine-readable JSON
  * artifact: for every (workload, window) operating point the analytic
- * aqfp::energy prediction AND the instrumented measurement — each
- * layer's geometry replayed for one spatial position through the real
- * packed executor with a HardwareLedger attached, the observed counts
- * priced by the same Table-1 cost model and scaled by the layer's
- * position count. CI uploads the output; the per-row deltas make any
- * drift between the simulator and the analytic tables visible in a
- * diff.
- *
- * Counts are value-independent, so the replay layers carry no weights
- * (see energy_ledger_util::geometryLayer) and the output is fully
- * deterministic.
+ * aqfp::energy prediction AND the ledger measurement — each layer's
+ * aqfp::forwardCounts for one spatial position
+ * (EnergyModel::measureLayer), priced by the same Table-1 cost model
+ * and scaled by the layer's position count. CI uploads the output; the
+ * per-row deltas make any drift between the simulator's counts and the
+ * analytic tables visible in a diff. The output is fully deterministic.
  */
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "energy_ledger_util.h"
+#include "aqfp/energy.h"
 
 using namespace superbnn;
-using energy_ledger_util::geometryLayer;
-using energy_ledger_util::measureSinglePosition;
-using energy_ledger_util::replayContext;
 
 namespace {
 
@@ -32,51 +24,17 @@ void
 emitWorkload(const aqfp::WorkloadSpec &workload,
              const std::vector<std::size_t> &windows, bool first)
 {
-    const aqfp::AttenuationModel atten;
     const aqfp::EnergyModel model;
     const std::size_t cs = 16;
     const double freq = 5.0;
     const std::size_t max_act_bits = workload.maxActivationBits();
 
-    // One measured counts set per (layer, window); geometry layers are
-    // built once per layer and shared by every window's executor.
-    struct LayerRow
-    {
-        std::string name;
-        std::vector<aqfp::EnergyReport> measured; // per window
-        std::vector<aqfp::EnergyReport> analytic; // per window
-    };
-    std::vector<LayerRow> rows;
-    for (const aqfp::LayerSpec &spec : workload.layers) {
-        LayerRow row;
-        row.name = spec.name;
-        const crossbar::MappedLayer layer =
-            geometryLayer(spec.fanIn, spec.fanOut, cs, atten);
-        for (const std::size_t window : windows) {
-            const aqfp::AcceleratorConfig config{cs, window, freq, 2.4};
-            const crossbar::TileExecutor exec(window, false, 0.25, 0);
-            const aqfp::LedgerCounts counts =
-                measureSinglePosition(exec, layer);
-            row.measured.push_back(model.priceLedger(
-                counts, replayContext(spec, config, max_act_bits)));
-            row.analytic.push_back(
-                model.evaluateLayer(spec, config, max_act_bits));
-        }
-        rows.push_back(std::move(row));
-        std::fprintf(stderr, "measured %s/%s\n",
-                     workload.name.c_str(), spec.name.c_str());
-    }
-
     for (std::size_t w = 0; w < windows.size(); ++w) {
         const aqfp::AcceleratorConfig config{cs, windows[w], freq, 2.4};
         const aqfp::EnergyReport analytic =
             model.evaluate(workload, config);
-        std::vector<aqfp::EnergyReport> layer_measured;
-        layer_measured.reserve(rows.size());
-        for (const LayerRow &row : rows)
-            layer_measured.push_back(row.measured[w]);
-        const aqfp::EnergyReport measured = model.combineLayerReports(
-            layer_measured, config, workload.totalOps(), max_act_bits);
+        const aqfp::EnergyReport measured =
+            model.measureWorkload(workload, config);
         const aqfp::EnergyDelta delta =
             aqfp::reconcile(measured, analytic);
 
@@ -94,13 +52,18 @@ emitWorkload(const aqfp::WorkloadSpec &workload,
                     delta.totalEnergyRel, delta.scModuleEnergyRel,
                     delta.latencyRel);
         std::printf(" \"layers\":[\n");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            std::printf("  {\"name\":\"%s\",\"measured\":%s,"
-                        "\"analytic\":%s}%s\n",
-                        rows[i].name.c_str(),
-                        aqfp::toJson(rows[i].measured[w]).c_str(),
-                        aqfp::toJson(rows[i].analytic[w]).c_str(),
-                        i + 1 < rows.size() ? "," : "");
+        for (std::size_t i = 0; i < workload.layers.size(); ++i) {
+            const aqfp::LayerSpec &spec = workload.layers[i];
+            std::printf(
+                "  {\"name\":\"%s\",\"measured\":%s,"
+                "\"analytic\":%s}%s\n",
+                spec.name.c_str(),
+                aqfp::toJson(model.measureLayer(spec, config, max_act_bits))
+                    .c_str(),
+                aqfp::toJson(
+                    model.evaluateLayer(spec, config, max_act_bits))
+                    .c_str(),
+                i + 1 < workload.layers.size() ? "," : "");
         }
         std::printf(" ]}");
     }

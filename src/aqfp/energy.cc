@@ -263,9 +263,14 @@ EnergyModel::combineLayerReports(const std::vector<EnergyReport> &layers,
     return rep;
 }
 
+namespace {
+
+/** @p layerReport over every layer, folded through combineLayerReports. */
+template <typename LayerReport>
 EnergyReport
-EnergyModel::evaluate(const WorkloadSpec &workload,
-                      const AcceleratorConfig &config) const
+foldWorkload(const EnergyModel &model, const WorkloadSpec &workload,
+             const AcceleratorConfig &config,
+             const LayerReport &layerReport)
 {
     workload.validate();
     const std::size_t max_act_bits = workload.maxActivationBits();
@@ -273,9 +278,44 @@ EnergyModel::evaluate(const WorkloadSpec &workload,
     std::vector<EnergyReport> layers;
     layers.reserve(workload.layers.size());
     for (const auto &layer : workload.layers)
-        layers.push_back(evaluateLayer(layer, config, max_act_bits));
-    return combineLayerReports(layers, config, workload.totalOps(),
-                               max_act_bits);
+        layers.push_back(layerReport(layer, max_act_bits));
+    return model.combineLayerReports(layers, config, workload.totalOps(),
+                                     max_act_bits);
+}
+
+} // namespace
+
+EnergyReport
+EnergyModel::evaluate(const WorkloadSpec &workload,
+                      const AcceleratorConfig &config) const
+{
+    return foldWorkload(*this, workload, config,
+                        [&](const LayerSpec &layer, std::size_t bits) {
+                            return evaluateLayer(layer, config, bits);
+                        });
+}
+
+EnergyReport
+EnergyModel::measureLayer(const LayerSpec &layer,
+                          const AcceleratorConfig &config,
+                          std::size_t max_act_bits) const
+{
+    const LedgerPricingContext ctx =
+        layerReplayContext(layer, config, max_act_bits);
+    return priceLedger(forwardCounts(layer.fanIn, layer.fanOut,
+                                     config.crossbarSize,
+                                     config.bitstreamLength, 1),
+                       ctx);
+}
+
+EnergyReport
+EnergyModel::measureWorkload(const WorkloadSpec &workload,
+                             const AcceleratorConfig &config) const
+{
+    return foldWorkload(*this, workload, config,
+                        [&](const LayerSpec &layer, std::size_t bits) {
+                            return measureLayer(layer, config, bits);
+                        });
 }
 
 EnergyReport
@@ -338,11 +378,10 @@ EnergyModel::priceLedger(const LedgerCounts &counts,
 
 LedgerPricingContext
 layerReplayContext(const LayerSpec &spec, const AcceleratorConfig &config,
-                   std::size_t max_act_bits, double images)
+                   std::size_t max_act_bits)
 {
     spec.validate();
     assert(config.crossbarSize >= 1);
-    assert(images > 0.0);
     LedgerPricingContext ctx;
     ctx.config = config;
     ctx.rowTiles =
@@ -351,7 +390,6 @@ layerReplayContext(const LayerSpec &spec, const AcceleratorConfig &config,
         (spec.fanOut + config.crossbarSize - 1) / config.crossbarSize;
     ctx.opsPerImage = spec.ops();
     ctx.countScale = static_cast<double>(spec.positions);
-    ctx.images = images;
     ctx.maxActBits = max_act_bits;
     return ctx;
 }

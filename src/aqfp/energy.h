@@ -202,7 +202,25 @@ class EnergyModel
                                std::size_t max_act_bits) const;
 
     /**
-     * Price activity counts observed by a HardwareLedger with the same
+     * Ledger-priced per-layer report: the forwardCounts of one
+     * single-position sample of @p layer at (Cs, L), priced through
+     * layerReplayContext (counts scaled by layer.positions). The
+     * measured counterpart of evaluateLayer with identical arguments.
+     */
+    EnergyReport measureLayer(const LayerSpec &layer,
+                              const AcceleratorConfig &config,
+                              std::size_t max_act_bits) const;
+
+    /**
+     * measureLayer over every layer folded through combineLayerReports:
+     * the measured counterpart of evaluate(), sharing its buffer sizing
+     * and derived-metric arithmetic (validates the workload).
+     */
+    EnergyReport measureWorkload(const WorkloadSpec &workload,
+                                 const AcceleratorConfig &config) const;
+
+    /**
+     * Price activity counts recorded by a HardwareLedger with the same
      * Table-1 cell costs, frequency scaling and cooling overhead the
      * analytic path uses — the "measure, don't model" counterpart of
      * evaluateLayer. Counts are scaled by ctx.countScale and normalized
@@ -231,10 +249,9 @@ class EnergyModel
      * Sum per-layer reports (analytic or ledger-priced) into a
      * workload-level report: component energies, cycles, crossbars and
      * JJs add, derived metrics are recomputed, and the shared
-     * activation buffer's JJs are counted once. evaluate() is
-     * evaluateLayer() folded through this; the energy-table bench
-     * folds its measured layer reports through the same function so
-     * the two sides of the reconciliation can never drift.
+     * activation buffer's JJs are counted once. evaluate() and
+     * measureWorkload() fold evaluateLayer() and measureLayer() through
+     * it, so the two sides of the reconciliation can never drift.
      */
     EnergyReport
     combineLayerReports(const std::vector<EnergyReport> &layers,
@@ -271,18 +288,15 @@ class EnergyModel
 };
 
 /**
- * Pricing context for a ledger replay of @p spec under @p config: the
- * tiling is derived from the geometry, counts are scaled by
- * spec.positions (one executed position stands for all of them — ledger
- * counts are value-independent) and normalized by @p images, the number
- * of single-position calibration samples the counts cover. This is the
- * context the energy benches and the MeasuredCostProbe both price
- * through, so replay arithmetic exists in exactly one place.
+ * Pricing context for the counts of one single-position sample of
+ * @p spec under @p config: the tiling is derived from the geometry and
+ * counts are scaled by spec.positions (one position stands for all of
+ * them — ledger counts are value-independent). EnergyModel::measureLayer
+ * and the energy_probe bench price through it.
  */
 LedgerPricingContext layerReplayContext(const LayerSpec &spec,
                                         const AcceleratorConfig &config,
-                                        std::size_t max_act_bits,
-                                        double images = 1.0);
+                                        std::size_t max_act_bits);
 
 /**
  * Deterministic single-line JSON of a report (fixed key order, %.17g

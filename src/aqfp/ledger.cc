@@ -1,27 +1,10 @@
 #include "aqfp/ledger.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cinttypes>
 #include <cstdio>
+#include <stdexcept>
 
 namespace superbnn::aqfp {
-
-TileCounts &
-TileCounts::operator+=(const TileCounts &o)
-{
-    observations += o.observations;
-    cycles += o.cycles;
-    bernoulliDraws += o.bernoulliDraws;
-    return *this;
-}
-
-bool
-operator==(const TileCounts &a, const TileCounts &b)
-{
-    return a.observations == b.observations && a.cycles == b.cycles
-        && a.bernoulliDraws == b.bernoulliDraws;
-}
 
 LedgerCounts &
 LedgerCounts::operator+=(const LedgerCounts &o)
@@ -58,76 +41,35 @@ operator!=(const LedgerCounts &a, const LedgerCounts &b)
     return !(a == b);
 }
 
-void
-HardwareLedger::reset()
-{
-    *this = HardwareLedger();
-}
-
-void
-HardwareLedger::beginForward(std::size_t row_tiles, std::size_t col_tiles,
-                             std::size_t samples)
-{
-    assert(row_tiles >= 1 && col_tiles >= 1);
-    const std::size_t new_rows = std::max(rows_, row_tiles);
-    const std::size_t new_cols = std::max(cols_, col_tiles);
-    if (new_rows != rows_ || new_cols != cols_) {
-        // Remap the old grid coordinate-wise into the union extents.
-        std::vector<TileCounts> next(new_rows * new_cols);
-        for (std::size_t rt = 0; rt < rows_; ++rt)
-            for (std::size_t ct = 0; ct < cols_; ++ct)
-                next[rt * new_cols + ct] = grid[rt * cols_ + ct];
-        grid = std::move(next);
-        rows_ = new_rows;
-        cols_ = new_cols;
-    }
-    counters.samples += samples;
-}
-
-void
-HardwareLedger::recordTile(std::size_t rt, std::size_t ct,
-                           const TileCounts &counts)
-{
-    assert(rt < rows_ && ct < cols_);
-    grid[rt * cols_ + ct] += counts;
-}
-
-void
-HardwareLedger::recordMerge(std::uint64_t accumulations,
-                            std::uint64_t input_bits,
-                            std::uint64_t group_steps)
-{
-    counters.apcAccumulations += accumulations;
-    counters.apcInputBits += input_bits;
-    counters.columnGroupSteps += group_steps;
-}
-
-void
-HardwareLedger::recordBuffer(std::uint64_t read_bits,
-                             std::uint64_t write_bits)
-{
-    counters.bufferReadBits += read_bits;
-    counters.bufferWriteBits += write_bits;
-}
-
 LedgerCounts
-HardwareLedger::totals() const
+forwardCounts(std::size_t fan_in, std::size_t fan_out, std::size_t cs,
+              std::size_t window, std::size_t samples)
 {
-    LedgerCounts t = counters;
-    for (const TileCounts &tc : grid) {
-        t.tileObservations += tc.observations;
-        t.crossbarCycles += tc.cycles;
-        t.bernoulliDraws += tc.bernoulliDraws;
-    }
-    return t;
-}
-
-TileCounts
-HardwareLedger::tile(std::size_t rt, std::size_t ct) const
-{
-    if (rt >= rows_ || ct >= cols_)
-        return {};
-    return grid[rt * cols_ + ct];
+    if (fan_in == 0 || fan_out == 0 || cs == 0 || window == 0)
+        throw std::invalid_argument(
+            "aqfp::forwardCounts: fanIn, fanOut, Cs and window must be "
+            ">= 1 (got " + std::to_string(fan_in) + ", "
+            + std::to_string(fan_out) + ", " + std::to_string(cs) + ", "
+            + std::to_string(window) + ")");
+    const std::uint64_t n = samples;
+    const std::uint64_t L = window;
+    const std::uint64_t rowTiles = (fan_in + cs - 1) / cs;
+    const std::uint64_t colTiles = (fan_out + cs - 1) / cs;
+    LedgerCounts c;
+    c.samples = n;
+    c.tileObservations = n * rowTiles * colTiles;
+    c.crossbarCycles = c.tileObservations * L;
+    // The hardware observes every column of a tile for the window, even
+    // the columns of a partial group that no APC reads.
+    c.bernoulliDraws = c.crossbarCycles * cs;
+    // Only real columns are merged, each from rowTiles streams of L
+    // bits, and every (sample, column group) serializes one window.
+    c.apcAccumulations = n * fan_out;
+    c.apcInputBits = c.apcAccumulations * rowTiles * L;
+    c.columnGroupSteps = n * colTiles * L;
+    c.bufferReadBits = n * fan_in;
+    c.bufferWriteBits = c.apcAccumulations;
+    return c;
 }
 
 std::string

@@ -1,34 +1,27 @@
 /**
  * @file
- * Instrumented hardware activity ledger for the word-parallel execution
- * path (the "measure, don't model" side of the Tables 2/3 energy
- * claims).
+ * Hardware activity ledger for the word-parallel execution path (the
+ * "measure, don't model" side of the Tables 2/3 energy claims).
  *
- * The analytic model in aqfp/energy.h *derives* activity counts from a
- * layer's tiling geometry. The ledger instead *records* them per
- * executed forward: the tile executor reports every tile observation,
- * every raw Bernoulli draw the hardware's counter RNG makes, every APC
- * column merge and every serialized column-group step into a
- * HardwareLedger, and aqfp::energy prices those counts with the same
+ * The analytic model in aqfp/energy.h *derives* its activity from a
+ * layer's tiling geometry with Cs-wide column groups. The ledger counts
+ * what the tile executor does: tile observations, the raw Bernoulli
+ * draws the hardware's counter RNG makes, APC merges of the layer's
+ * real output columns, serialized column-group steps and buffer
+ * traffic. None of these depend on input values, so one function,
+ * forwardCounts(), defines them from the geometry; the executor records
+ * exactly that, and aqfp::energy prices the counts with the same
  * Table-1 cell costs, frequency scaling and cryocooler overhead it uses
- * analytically. The draw counts equal what
- * crossbar::CrossbarArray::observeBatchSeeded reads back from its
- * counter streams (the executor's differential test checks this). A
- * differential test layer (tests/test_energy_ledger.cc) reconciles the
- * two models per layer.
+ * analytically. tests/test_energy_ledger.cc checks forwardCounts
+ * against real executor runs (and the executor's two-phase reference
+ * test against the draws its counter streams actually consume), and
+ * reconciles the priced counts with the analytic model per layer.
  *
- * Determinism contract: every count is a sum of integer contributions
- * that depend only on (layer geometry, batch size, window) — never on
- * values, scheduling, thread count, SIMD arm or batch split — so ledger
- * totals are bit-identical across SUPERBNN_THREADS, every SUPERBNN_SIMD
- * arm, and batch-of-N vs N singles.
- *
- * Thread safety: a ledger is a plain single-writer value. The executor
- * never records from inside a parallel task — the calling thread
- * records a forward's activity after the barrier — so a ledger needs
- * no synchronization of its own.
- * Concurrent evaluations each record into call-local ledgers and merge
- * the totals under their owner's lock (see core::HardwareEvaluator).
+ * Determinism contract: every count is an integer function of (layer
+ * geometry, batch size, window) — never of values, scheduling, thread
+ * count, SIMD arm or batch split — so ledger totals are bit-identical
+ * across SUPERBNN_THREADS, every SUPERBNN_SIMD arm, and batch-of-N vs
+ * N singles.
  */
 
 #ifndef SUPERBNN_AQFP_LEDGER_H
@@ -37,24 +30,22 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace superbnn::aqfp {
 
-/** Observed activity of one crossbar tile. */
+/**
+ * Activity of one crossbar tile, as CrossbarArray::observeBatchSeeded
+ * reads it back from its counter streams.
+ */
 struct TileCounts
 {
     std::uint64_t observations = 0;   ///< (sample) observe passes
     std::uint64_t cycles = 0;         ///< active cycles: observations * L
     std::uint64_t bernoulliDraws = 0; ///< raw counter-RNG draws consumed
-
-    TileCounts &operator+=(const TileCounts &o);
 };
 
-bool operator==(const TileCounts &a, const TileCounts &b);
-
 /**
- * Totals of one ledger: everything the pricing model needs, as plain
+ * Activity totals: everything the pricing model needs, as plain
  * integers (equality-comparable for the determinism property tests).
  */
 struct LedgerCounts
@@ -62,9 +53,11 @@ struct LedgerCounts
     /// Executor samples seen (for a conv layer driven patch-wise this
     /// is images * spatial positions, not images).
     std::uint64_t samples = 0;
-    std::uint64_t tileObservations = 0; ///< sum of TileCounts::observations
-    std::uint64_t crossbarCycles = 0;   ///< sum of TileCounts::cycles
-    std::uint64_t bernoulliDraws = 0;   ///< sum of TileCounts::bernoulliDraws
+    std::uint64_t tileObservations = 0; ///< one per (sample, tile)
+    std::uint64_t crossbarCycles = 0;   ///< tileObservations * L
+    /// Raw counter-RNG draws: every tile observes all Cs columns for
+    /// the window, Cs * L per observation.
+    std::uint64_t bernoulliDraws = 0;
     /// APC column merges: one per (sample, output column) actually
     /// accumulated — partial tail column groups count only their real
     /// columns, unlike the analytic model's Cs-wide charge.
@@ -84,61 +77,34 @@ bool operator==(const LedgerCounts &a, const LedgerCounts &b);
 bool operator!=(const LedgerCounts &a, const LedgerCounts &b);
 
 /**
- * Single-writer activity accumulator one executor forward (or many —
- * counts accumulate until reset()) reports into.
- *
- * Usage: pass a ledger to TileExecutor::forward/forwardDecoded. After
- * the parallel pass the executor's calling thread announces it with
- * beginForward() (growing the per-tile grid to the layer's tiling),
- * records every tile's activity with recordTile(), and the pass's
- * merge and buffer activity with recordMerge()/recordBuffer().
- * A ledger reused across layers of different geometry accumulates
- * per-tile counts coordinate-wise over the union grid.
+ * The activity of one executor forward of @p samples samples through a
+ * fanIn x fanOut layer tiled at crossbar size @p cs (rowTiles =
+ * ceil(fanIn / Cs), colTiles = ceil(fanOut / Cs)) with window @p window.
+ * Zero samples give zero counts.
+ * @throws std::invalid_argument when fan_in, fan_out, cs or window is 0
+ */
+LedgerCounts forwardCounts(std::size_t fan_in, std::size_t fan_out,
+                           std::size_t cs, std::size_t window,
+                           std::size_t samples);
+
+/**
+ * Accumulator the executor adds each forward's counts to (counts add
+ * up until reset()). A plain single-writer value: the executor adds
+ * after its parallel pass, on the calling thread.
  */
 class HardwareLedger
 {
   public:
-    /** Zero every counter and drop the tile grid. */
-    void reset();
-
-    /**
-     * Announce a forward pass of @p samples samples over a
-     * row_tiles x col_tiles tiling. Grows the tile grid (preserving
-     * coordinates) and counts the samples.
-     */
-    void beginForward(std::size_t row_tiles, std::size_t col_tiles,
-                      std::size_t samples);
-
-    /** Add one tile's observed activity (inside the announced grid). */
-    void recordTile(std::size_t rt, std::size_t ct,
-                    const TileCounts &counts);
-
-    /** Add merge-phase activity. */
-    void recordMerge(std::uint64_t accumulations,
-                     std::uint64_t input_bits,
-                     std::uint64_t group_steps);
-
-    /** Add buffer traffic. */
-    void recordBuffer(std::uint64_t read_bits, std::uint64_t write_bits);
+    void add(const LedgerCounts &counts) { counts_ += counts; }
 
     /** The totals so far. */
-    LedgerCounts totals() const;
+    LedgerCounts totals() const { return counts_; }
 
-    /** Tile-grid extents seen so far. */
-    std::size_t rowTiles() const { return rows_; }
-    std::size_t colTiles() const { return cols_; }
-
-    /** Per-tile counts (zero for never-touched coordinates). */
-    TileCounts tile(std::size_t rt, std::size_t ct) const;
+    /** Zero every counter. */
+    void reset() { counts_ = LedgerCounts{}; }
 
   private:
-    std::size_t rows_ = 0;
-    std::size_t cols_ = 0;
-    /// Row-major rows_ x cols_ grid; slot (rt, ct) at rt * cols_ + ct.
-    std::vector<TileCounts> grid;
-    /// Everything but the per-tile fields, which totals() sums from
-    /// the grid.
-    LedgerCounts counters;
+    LedgerCounts counts_;
 };
 
 /**

@@ -65,7 +65,7 @@ struct CoOptCandidate
     double ame = 0.0;
     std::optional<double> accuracy; ///< set when a callback was used
     /// Ledger-measured energy report (set when the explorer ran with
-    /// ExploreOptions::measure — see aqfp::MeasuredCostProbe).
+    /// ExploreOptions::measure — see aqfp::EnergyModel::measureWorkload).
     std::optional<aqfp::EnergyReport> measured;
     /// Value of the cost function a ranking was produced under (filled
     /// by DesignSpaceExplorer::ranked/best; 0 until then).

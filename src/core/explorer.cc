@@ -130,13 +130,11 @@ CoOptSpace::validate() const
     requireUnique(grayZones, "grayZones");
 }
 
-DesignSpaceExplorer::DesignSpaceExplorer(
-    aqfp::AttenuationModel atten_model, aqfp::EnergyModel energy_model,
-    AmeOptions ame_options,
-    std::shared_ptr<crossbar::ProgrammedModelCache> cache)
-    : atten(atten_model), energy(energy_model),
-      ameAnalyzer(atten_model, ame_options),
-      probe_(atten_model, energy_model, std::move(cache))
+DesignSpaceExplorer::DesignSpaceExplorer(aqfp::AttenuationModel atten,
+                                         aqfp::EnergyModel energy_model,
+                                         AmeOptions ame_options)
+    : energy(std::move(energy_model)),
+      ameAnalyzer(std::move(atten), ame_options)
 {
 }
 
@@ -178,17 +176,15 @@ DesignSpaceExplorer::explore(const aqfp::WorkloadSpec &workload,
     }
 
     // Stage 3: per-candidate evaluation, fanned out on the executor
-    // pool. Each task writes only its own pre-sized slot; the probe's
-    // caches are internally synchronized and their values are
-    // deterministic, so results are bit-identical across thread counts
-    // and cache hits vs misses.
+    // pool. Each task writes only its own pre-sized slot, so results
+    // are bit-identical across thread counts.
     const auto evaluate = [&](std::size_t i) {
         CoOptCandidate &cand = feasible[i];
         cand.ame = ameAnalyzer.ame(
             static_cast<double>(cand.config.crossbarSize),
             cand.config.deltaIinUa);
         if (options.measure)
-            cand.measured = probe_.measureWorkload(workload, cand.config);
+            cand.measured = energy.measureWorkload(workload, cand.config);
     };
     util::parallelForThreads(options.threads, feasible.size(), evaluate);
 
@@ -241,33 +237,11 @@ DesignSpaceExplorer::exploreHeterogeneous(const aqfp::WorkloadSpec &workload,
     result.crossProduct = std::pow(static_cast<double>(grid.size()),
                                    static_cast<double>(layer_count));
 
-    // Per-(layer, grid point) memo of the analytic and measured layer
-    // reports, and a per-point AME memo: a descent revisits the same
-    // (layer, point) pairs constantly, and the probe's replay is the
-    // expensive part. Sequential descent — no synchronization needed.
-    struct LayerPoint
-    {
-        aqfp::EnergyReport analytic;
-        aqfp::EnergyReport measured;
-    };
-    std::vector<std::vector<std::optional<LayerPoint>>> memo(
-        layer_count,
-        std::vector<std::optional<LayerPoint>>(grid.size()));
+    // Per-point AME memo: a descent revisits the same grid points
+    // constantly, and the AME integration is the expensive part (layer
+    // reports are closed forms). Sequential descent — no
+    // synchronization needed.
     std::vector<std::optional<double>> ame_memo(grid.size());
-
-    const auto layerPoint = [&](std::size_t l,
-                                std::size_t g) -> const LayerPoint & {
-        std::optional<LayerPoint> &slot = memo[l][g];
-        if (!slot) {
-            LayerPoint p;
-            p.analytic = energy.evaluateLayer(workload.layers[l], grid[g],
-                                              max_act_bits);
-            p.measured = probe_.measureLayer(workload.layers[l], grid[g],
-                                             max_act_bits);
-            slot = std::move(p);
-        }
-        return *slot;
-    };
     const auto amePoint = [&](std::size_t g) {
         if (!ame_memo[g])
             ame_memo[g] = ameAnalyzer.ame(
@@ -288,12 +262,15 @@ DesignSpaceExplorer::exploreHeterogeneous(const aqfp::WorkloadSpec &workload,
         measured.reserve(layer_count);
         double ame_sum = 0.0;
         for (std::size_t l = 0; l < layer_count; ++l) {
-            const LayerPoint &p = layerPoint(l, sel[l]);
-            pc.layers.push_back(grid[sel[l]]);
-            analytic.push_back(p.analytic);
-            measured.push_back(p.measured);
+            const aqfp::LayerSpec &layer = workload.layers[l];
+            const aqfp::AcceleratorConfig &point = grid[sel[l]];
+            pc.layers.push_back(point);
+            analytic.push_back(
+                energy.evaluateLayer(layer, point, max_act_bits));
+            measured.push_back(
+                energy.measureLayer(layer, point, max_act_bits));
             ame_sum += amePoint(sel[l])
-                * (static_cast<double>(workload.layers[l].ops())
+                * (static_cast<double>(layer.ops())
                    / static_cast<double>(total_ops));
         }
         pc.energy = energy.combineLayerReports(analytic, pc.layers[0],

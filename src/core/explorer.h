@@ -1,6 +1,6 @@
 /**
  * @file
- * Ledger-driven, cache-backed design-space explorer.
+ * Ledger-driven design-space explorer.
  *
  * The paper's Section 5.4 co-optimization ranks (Cs, deltaIin, L) by
  * analytic energy + AME alone; since the hardware ledger (PR 5) the
@@ -14,19 +14,18 @@
  *     simulation) — feasibility is a separate stage, never entangled
  *     with ranking;
  *  3. evaluate the feasible candidates — AME and (optionally) the
- *     ledger-measured energy report — fanned out by
- *     util::parallelForThreads, with mapped models and calibration counts
- *     reused across candidates through the ProgrammedModelCache /
- *     MeasuredCostProbe instead of re-derived per point;
+ *     ledger-measured energy report, EnergyModel::measureWorkload, which
+ *     prices the closed-form aqfp::forwardCounts — fanned out by
+ *     util::parallelForThreads;
  *  4. rank under a pluggable CostFn (analytic energy, measured energy,
  *     AME, accuracy loss, weighted combinations) and/or extract the
  *     Pareto front of two competing costs.
  *
  * Determinism contract: explore() results are bit-identical across
- * thread counts and cache on/off — every candidate is written to its
- * own pre-sized slot, AME integration and ledger replay are
- * value-deterministic, and the accuracy callback (user code of unknown
- * thread safety) runs sequentially in candidate order. Rankings are
+ * thread counts — every candidate is written to its own pre-sized
+ * slot, AME integration and ledger pricing are deterministic, and the
+ * accuracy callback (user code of unknown thread safety) runs
+ * sequentially in candidate order. Rankings are
  * stable sorts over that fixed order, so ties resolve identically
  * everywhere.
  */
@@ -35,13 +34,10 @@
 #define SUPERBNN_CORE_EXPLORER_H
 
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "aqfp/measured_cost.h"
 #include "core/cooptimizer.h"
 #include "core/hardware_plan.h"
-#include "crossbar/model_cache.h"
 
 namespace superbnn::core {
 
@@ -89,10 +85,8 @@ CostFn weighted(std::vector<std::pair<CostFn, double>> terms);
 /** Evaluation knobs for one explore() call. */
 struct ExploreOptions
 {
-    /// Measure every feasible candidate with the MeasuredCostProbe
-    /// (fills CoOptCandidate::measured). Calibration replays are cached
-    /// per distinct (geometry, Cs, L) — candidates differing only in
-    /// deltaIin or frequency are priced from the same counts.
+    /// Measure every feasible candidate with
+    /// EnergyModel::measureWorkload (fills CoOptCandidate::measured).
     bool measure = false;
     /// Optional accuracy callback, invoked once per feasible candidate,
     /// sequentially in enumeration order (user callbacks need not be
@@ -162,17 +156,14 @@ class DesignSpaceExplorer
 {
   public:
     /**
-     * @param atten        attenuation model (AME + replay layers)
-     * @param energy_model analytic pricing model
+     * @param atten        attenuation model (AME)
+     * @param energy_model analytic and ledger pricing model
      * @param ame_options  AME integration knobs
-     * @param cache        shared mapped-model cache; nullptr allocates
-     *                     a private one
      */
     explicit DesignSpaceExplorer(
         aqfp::AttenuationModel atten,
         aqfp::EnergyModel energy_model = aqfp::EnergyModel(),
-        AmeOptions ame_options = {},
-        std::shared_ptr<crossbar::ProgrammedModelCache> cache = nullptr);
+        AmeOptions ame_options = {});
 
     /**
      * Stage 1: the full candidate grid of @p space in deterministic
@@ -253,21 +244,9 @@ class DesignSpaceExplorer
     paretoFront(const std::vector<CoOptCandidate> &candidates,
                 const CostFn &cost_a, const CostFn &cost_b);
 
-    /** The measured-cost probe (shared calibration/count caches). */
-    const aqfp::MeasuredCostProbe &probe() const { return probe_; }
-
-    /** The mapped-model cache (never null; feeds bench cache columns). */
-    const std::shared_ptr<crossbar::ProgrammedModelCache> &
-    modelCache() const
-    {
-        return probe_.modelCache();
-    }
-
   private:
-    aqfp::AttenuationModel atten;
     aqfp::EnergyModel energy;
     AmeAnalyzer ameAnalyzer;
-    aqfp::MeasuredCostProbe probe_;
 };
 
 } // namespace superbnn::core

@@ -459,7 +459,7 @@ HardwareEvaluator::runBatch(std::vector<int> acts, std::size_t samples,
     // Activations stay flat, [samples][width], channel-major for conv
     // maps. Each layer is ONE executor pass over all samples and
     // positions; its tasks gather the patches and write flipped outputs.
-    std::vector<aqfp::HardwareLedger> ledgers(mapped.size() + 1);
+    std::vector<aqfp::LedgerCounts> layerCounts(mapped.size() + 1);
     for (std::size_t li = 0; li < mapped.size(); ++li) {
         const MappedCell &mc = mapped[li];
         const std::size_t positions = mc.inSide * mc.inSide;
@@ -473,7 +473,11 @@ HardwareEvaluator::runBatch(std::vector<int> acts, std::size_t samples,
         // bit-identical to singles.
         executorFor(li).forward(mc.layer, in,
                                 roots.draw(samples, positions), out.data(),
-                                &mc.flip, &ledgers[li]);
+                                &mc.flip);
+        layerCounts[li] =
+            aqfp::forwardCounts(mc.layer.fanIn, mc.layer.fanOut,
+                                mc.layer.cs, resolved_[li].window,
+                                samples * positions);
         // Pooling reads a 2x2 window across task boundaries, so it is a
         // separate pass after the barrier.
         acts = mc.pooled
@@ -485,8 +489,10 @@ HardwareEvaluator::runBatch(std::vector<int> acts, std::size_t samples,
         .forwardDecoded(headMapped,
                         crossbar::InputView{acts.data(), samples,
                                             headMapped.fanIn},
-                        roots.draw(samples, 1), decoded.data(),
-                        &ledgers.back());
+                        roots.draw(samples, 1), decoded.data());
+    layerCounts.back() = aqfp::forwardCounts(
+        headMapped.fanIn, headMapped.fanOut, headMapped.cs,
+        resolved_[mapped.size()].window, samples);
     std::vector<std::vector<double>> scores(
         samples, std::vector<double>(headMapped.fanOut));
     for (std::size_t b = 0; b < samples; ++b)
@@ -496,10 +502,9 @@ HardwareEvaluator::runBatch(std::vector<int> acts, std::size_t samples,
     aqfp::LedgerCounts call;
     {
         const std::lock_guard<std::mutex> lock(countsMutex_);
-        for (std::size_t i = 0; i < ledgers.size(); ++i) {
-            const aqfp::LedgerCounts layer = ledgers[i].totals();
-            counts_[i] += layer;
-            call += layer;
+        for (std::size_t i = 0; i < layerCounts.size(); ++i) {
+            counts_[i] += layerCounts[i];
+            call += layerCounts[i];
         }
         images_ += samples;
     }

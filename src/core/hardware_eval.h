@@ -70,11 +70,11 @@ struct LayerEnergyReport
 /**
  * Maps a trained model onto simulated AQFP hardware and evaluates it.
  *
- * Every forward pass is instrumented: each evaluation call records the
- * observed hardware activity of every mapped layer (and the head) into
- * call-local aqfp::HardwareLedgers, then adds their totals and its
- * image count to the evaluator's per-layer counts, so accuracy
- * evaluation doubles as energy measurement — see energyReports().
+ * Every forward pass is instrumented: each evaluation call adds the
+ * hardware activity of every mapped layer (and the head),
+ * aqfp::forwardCounts of the layer's executor pass, and its image count
+ * to the evaluator's per-layer counts, so accuracy evaluation doubles
+ * as energy measurement — see energyReports().
  *
  * Concurrency: evaluation calls on the SAME evaluator may run
  * concurrently (the sharded InferenceService runs one sub-batch per
@@ -359,9 +359,9 @@ class HardwareEvaluator
                                     const char *caller) const;
     /**
      * Run one evaluation call of @p samples flat @p inputs through every
-     * mapped layer and the head into call-local ledgers, then add their
-     * totals and the image count to counts_/images_ under the lock; the
-     * call's summed activity goes to @p counts when non-null.
+     * mapped layer and the head, then add each layer's forwardCounts
+     * and the image count to counts_/images_ under the lock; the call's
+     * summed activity goes to @p counts when non-null.
      */
     std::vector<std::vector<double>>
     runBatch(std::vector<int> inputs, std::size_t samples,

@@ -85,12 +85,9 @@ class CrossbarMapper
 
 /**
  * A MappedLayer of the given geometry with unprogrammed (inactive)
- * cells. Ledger activity counts are value-independent — every column
- * of every tile is observed for the full window regardless of the
- * programmed weights — so energy measurement does not need real
- * weights, and building full Table-2 layer geometries stays cheap.
- * This is the layer shape the programmed-model cache and the
- * MeasuredCostProbe replay (see src/crossbar/model_cache.h).
+ * cells: a cheap layer to run the executor on where the weights do not
+ * matter (timing a geometry, or checking that ledger activity counts,
+ * which are value-independent, equal aqfp::forwardCounts).
  */
 MappedLayer geometryLayer(std::size_t fan_in, std::size_t fan_out,
                           std::size_t cs,

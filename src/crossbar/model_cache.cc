@@ -1,46 +1,10 @@
 #include "crossbar/model_cache.h"
 
-#include <cstring>
-
 namespace superbnn::crossbar {
-
-namespace {
-
-std::uint64_t
-bitPattern(double value)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
-}
-
-} // namespace
 
 ProgrammedModelCache::ProgrammedModelCache(aqfp::AttenuationModel atten_model)
     : atten(std::move(atten_model))
 {
-}
-
-std::shared_ptr<const MappedLayer>
-ProgrammedModelCache::geometry(std::size_t fan_in, std::size_t fan_out,
-                               std::size_t cs, double delta_iin_ua)
-{
-    const Key key{fan_in, fan_out, cs, bitPattern(delta_iin_ua)};
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries.find(key);
-    if (it != entries.end()) {
-        ++geometryStats_.hits;
-        return it->second;
-    }
-    ++geometryStats_.misses;
-    // Built under the lock: a second requester of the same geometry
-    // waits instead of mapping a duplicate, so the miss count equals
-    // the number of models ever built.
-    auto layer = std::make_shared<const MappedLayer>(
-        geometryLayer(fan_in, fan_out, cs, atten, delta_iin_ua));
-    entries.emplace(key, layer);
-    return layer;
 }
 
 std::shared_ptr<const MappedLayer>
@@ -54,24 +18,12 @@ ProgrammedModelCache::named(const std::string &key,
         return it->second;
     }
     ++namedStats_.misses;
+    // Built under the lock: a second requester of the same key waits
+    // instead of mapping a duplicate, so the miss count equals the
+    // number of models ever built.
     auto layer = std::make_shared<const MappedLayer>(build());
     namedEntries.emplace(key, layer);
     return layer;
-}
-
-ProgrammedModelCache::Stats
-ProgrammedModelCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return Stats{geometryStats_.hits + namedStats_.hits,
-                 geometryStats_.misses + namedStats_.misses};
-}
-
-ProgrammedModelCache::Stats
-ProgrammedModelCache::geometryStats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return geometryStats_;
 }
 
 ProgrammedModelCache::Stats
@@ -85,16 +37,14 @@ std::size_t
 ProgrammedModelCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries.size() + namedEntries.size();
+    return namedEntries.size();
 }
 
 void
 ProgrammedModelCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    entries.clear();
     namedEntries.clear();
-    geometryStats_ = Stats{};
     namedStats_ = Stats{};
 }
 

@@ -1,30 +1,27 @@
 /**
  * @file
- * Shared cache of mapped crossbar models for design-space exploration.
+ * Shared cache of programmed crossbar models.
  *
- * The explorer evaluates many accelerator candidates against the same
- * workload, and candidates sharing a tile geometry (fanIn, fanOut, Cs,
- * deltaIin) would otherwise re-map identical MappedLayers per point.
- * ProgrammedModelCache builds each geometry once and hands out
- * shared_ptr<const MappedLayer> — programmed tile state is shared
- * READ-ONLY across callers (TileExecutor never mutates the layer it
- * executes), so concurrent explorer tasks can replay one cached model
- * simultaneously. Hit/miss counters feed the autotune bench's cache
- * columns. The serving layer leans on the same read-only sharing:
- * core::HardwareEvaluator::mapMlp(model, cache, tag) lets a fleet of
- * evaluators (one per serving process or test) install private copies
- * of one cached pristine mapping (see docs/SERVING.md).
+ * Workloads that map the same trained weights many times — the yield
+ * sweep's thousands of chip tasks, a fleet of serving evaluators —
+ * would otherwise re-map identical MappedLayers per use.
+ * ProgrammedModelCache builds each one once under a string key and
+ * hands out shared_ptr<const MappedLayer> — programmed tile state is
+ * shared READ-ONLY across callers (TileExecutor never mutates the layer
+ * it executes), so concurrent tasks can run one cached model
+ * simultaneously. core::HardwareEvaluator::mapMlp(model, cache, tag)
+ * installs private copies of one cached pristine mapping (see
+ * docs/SERVING.md); core::ScenarioSweep and bench/yield_surface share
+ * one cache across every chip of a sweep.
  *
- * Key contract: entries are keyed by (fanIn, fanOut, cs, deltaIinUa).
- * The SC window L is deliberately NOT part of the key — a MappedLayer
- * is window-independent (the executor owns L), which is exactly why
- * candidates differing only in L hit the same model. One cache serves
- * one attenuation model; callers mixing attenuation models must use
- * one cache per model (the explorer owns a cache built from its own).
+ * Key contract: the key encodes everything the build depends on (model
+ * tag, layer index, Cs, deltaIin and attenuation-fit bit patterns). The
+ * SC window L is not part of it — a MappedLayer is window-independent
+ * (the executor owns L). One cache serves one attenuation model.
  *
  * Determinism contract: a cached layer is bit-identical to a freshly
- * mapped one (geometryLayer is deterministic), so any computation is
- * bit-identical with the cache on or off, at any thread count.
+ * mapped one, so any computation is bit-identical with the cache warm
+ * or cold, at any thread count.
  */
 
 #ifndef SUPERBNN_CROSSBAR_MODEL_CACHE_H
@@ -36,13 +33,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 
 #include "crossbar/mapper.h"
 
 namespace superbnn::crossbar {
 
-/** Cache of geometry-mapped crossbar models, shared read-only. */
+/** Cache of mapped crossbar models, shared read-only. */
 class ProgrammedModelCache
 {
   public:
@@ -56,49 +52,21 @@ class ProgrammedModelCache
     explicit ProgrammedModelCache(aqfp::AttenuationModel atten);
 
     /**
-     * The mapped model for one geometry, built on first request via
-     * crossbar::geometryLayer and shared by every later call with the
-     * same key. Thread-safe; the returned layer must be treated as
-     * immutable (it may be executing on another thread).
-     */
-    std::shared_ptr<const MappedLayer>
-    geometry(std::size_t fan_in, std::size_t fan_out, std::size_t cs,
-             double delta_iin_ua = 2.4);
-
-    /**
-     * The mapped model for an arbitrary string key, built on first
-     * request by @p build and shared read-only by every later call
-     * with the same key. This is how workloads with real weights (the
-     * yield sweep's pristine per-layer models) share one programmed
-     * copy across thousands of chip tasks: the key encodes everything
-     * the build depends on (model tag, layer index, Cs, deltaIin and
-     * attenuation-fit bit patterns), and the builder runs at most once
-     * per key, under the cache lock, counted in the same hit/miss
-     * stats as geometry(). The builder must not call back into this
-     * cache.
+     * The mapped model for @p key, built on first request by @p build
+     * and shared read-only by every later call with the same key. The
+     * builder runs at most once per key, under the cache lock, and must
+     * not call back into this cache. Thread-safe; the returned layer
+     * must be treated as immutable (it may be executing on another
+     * thread).
      */
     std::shared_ptr<const MappedLayer>
     named(const std::string &key,
           const std::function<MappedLayer()> &build);
 
-    /**
-     * Snapshot of the combined hit/miss counters (geometry + named
-     * sections summed — the historical single counter). Thread-safe.
-     */
-    Stats stats() const;
-
-    /** Snapshot of the geometry-keyed section's counters. Thread-safe. */
-    Stats geometryStats() const;
-
-    /**
-     * Snapshot of the named (string-keyed) section's counters —
-     * heterogeneous plan sweeps lean on this section (one entry per
-     * (tag, layer, operating point)), so it is reported separately by
-     * bench/autotune. Thread-safe.
-     */
+    /** Snapshot of the hit/miss counters. Thread-safe. */
     Stats namedStats() const;
 
-    /** Distinct entries currently cached (geometry + named). */
+    /** Distinct entries currently cached. */
     std::size_t size() const;
 
     /** Drop every entry and zero the counters (holders keep theirs). */
@@ -107,17 +75,10 @@ class ProgrammedModelCache
     const aqfp::AttenuationModel &attenuation() const { return atten; }
 
   private:
-    /// deltaIin participates bit-pattern-exact (no epsilon matching:
-    /// explorers enumerate exact grid values, never perturbed ones).
-    using Key = std::tuple<std::size_t, std::size_t, std::size_t,
-                           std::uint64_t>;
-
     aqfp::AttenuationModel atten;
     mutable std::mutex mutex_;
-    std::map<Key, std::shared_ptr<const MappedLayer>> entries;
     std::map<std::string, std::shared_ptr<const MappedLayer>>
         namedEntries;
-    Stats geometryStats_;
     Stats namedStats_;
 };
 

@@ -331,25 +331,11 @@ TileExecutor::forwardFused(const MappedLayer &layer, const InputView &in,
     // dispatching allocates nothing.
     runParallel(chunks * layer.colTiles,
                 [&task](std::size_t t) { task(t); });
-    if (!ledger)
-        return;
     // Activity is value-independent, so it is recorded after the
-    // barrier in closed form. The hardware observes every column of a
-    // tile for the window (Cs * L draws per sample), even the columns
-    // no APC reads and the host therefore skips.
-    const std::uint64_t n = samples;
-    const aqfp::TileCounts perTile{n, n * window_, n * cs * window_};
-    ledger->beginForward(rowTiles, layer.colTiles, samples);
-    for (std::size_t rt = 0; rt < rowTiles; ++rt)
-        for (std::size_t ct = 0; ct < layer.colTiles; ++ct)
-            ledger->recordTile(rt, ct, perTile);
-    // Only real columns are merged (a partial tail group merges fewer
-    // than Cs), and every (sample, column group) still serializes for
-    // one full window of cycles.
-    const std::uint64_t merges = n * layer.fanOut;
-    ledger->recordMerge(merges, merges * accum.mergeInputBits(),
-                        n * layer.colTiles * window_);
-    ledger->recordBuffer(n * layer.fanIn, merges);
+    // barrier in closed form.
+    if (ledger)
+        ledger->add(aqfp::forwardCounts(fanIn, layer.fanOut, cs, window_,
+                                        samples));
 }
 
 void

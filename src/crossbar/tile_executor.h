@@ -34,12 +34,11 @@
  *    single-sample forwards from the same starting Rng state (each
  *    single forward consumes exactly one root draw).
  *
- * Forward passes can additionally report their observed hardware
- * activity (tile cycles, Bernoulli draws, APC merges, serialization
- * steps, buffer traffic) into an aqfp::HardwareLedger, which
- * aqfp::energy prices with the Table-1 cost model — the instrumented
- * counterpart of the analytic energy estimator. Ledger totals obey the
- * same determinism contract as the outputs.
+ * Forward passes can additionally add their hardware activity (tile
+ * cycles, Bernoulli draws, APC merges, serialization steps, buffer
+ * traffic: aqfp::forwardCounts of the pass) to an aqfp::HardwareLedger,
+ * which aqfp::energy prices with the Table-1 cost model — the
+ * instrumented counterpart of the analytic energy estimator.
  */
 
 #ifndef SUPERBNN_CROSSBAR_TILE_EXECUTOR_H
@@ -123,11 +122,8 @@ class TileExecutor
      * @param roots   one raw 64-bit root draw per sample
      * @param flip    optional per-column sign flips
      * @param ledger  optional hardware-activity ledger: when non-null the
-     *                pass reports observed tile cycles, Bernoulli draws,
-     *                APC merges, column-group serialization steps and
-     *                buffer traffic into it (see aqfp::HardwareLedger;
-     *                totals are bit-identical across thread counts, SIMD
-     *                arms, and batch splits)
+     *                pass adds aqfp::forwardCounts(fanIn, fanOut, Cs, L,
+     *                in.rows) to it
      * @throws std::invalid_argument when roots.size() != in.rows
      */
     void forward(const MappedLayer &layer, const InputView &in,
@@ -241,9 +237,8 @@ class TileExecutor
      * consumes each merged column, `at` being its output index. Within a
      * row tile and a block of samples, thresholds are memoized by
      * (column, column sum), so each distinct pair pays one erf (conv
-     * patches share many). Tile, merge and buffer activity are recorded
-     * into @p ledger after the barrier, in tile order and in closed form
-     * (they do not depend on values).
+     * patches share many). The pass's aqfp::forwardCounts are added to
+     * @p ledger after the barrier (they do not depend on values).
      */
     template <typename Emit>
     void forwardFused(const MappedLayer &layer, const InputView &in,

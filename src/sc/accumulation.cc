@@ -17,12 +17,12 @@ AccumulationModule::AccumulationModule(std::size_t crossbars,
 
 std::size_t
 AccumulationModule::rawCount(
-    const std::vector<const Bitstream *> &streams) const
+    const std::vector<StreamView> &streams) const
 {
     assert(streams.size() == crossbars_);
 #ifndef NDEBUG
-    for (const Bitstream *s : streams)
-        assert(s->length() == window_);
+    for (const StreamView &v : streams)
+        assert(v.length == window_);
 #endif
     // The APC is applied per clock cycle, but both counters are
     // cycle-separable given the fixed input pairing, so the window total
@@ -35,26 +35,13 @@ AccumulationModule::rawCount(
 }
 
 std::size_t
-AccumulationModule::rawCount(
-    const std::vector<StreamView> &streams) const
-{
-    assert(streams.size() == crossbars_);
-#ifndef NDEBUG
-    for (const StreamView &v : streams)
-        assert(v.length == window_);
-#endif
-    return useExact ? exact.countStreams(streams)
-                    : approx.countStreams(streams);
-}
-
-std::size_t
 AccumulationModule::rawCount(const std::vector<Bitstream> &streams) const
 {
-    std::vector<const Bitstream *> borrowed;
-    borrowed.reserve(streams.size());
+    std::vector<StreamView> views;
+    views.reserve(streams.size());
     for (const Bitstream &s : streams)
-        borrowed.push_back(&s);
-    return rawCount(borrowed);
+        views.push_back(viewOf(s));
+    return rawCount(views);
 }
 
 double
@@ -98,23 +85,8 @@ AccumulationModule::accumulate(const std::vector<Bitstream> &streams,
     return decideFromCount(rawCount(streams), reference_offset);
 }
 
-int
-AccumulationModule::accumulate(
-    const std::vector<const Bitstream *> &streams,
-    double reference_offset) const
-{
-    return decideFromCount(rawCount(streams), reference_offset);
-}
-
 double
 AccumulationModule::decodedSum(const std::vector<Bitstream> &streams) const
-{
-    return decodeFromCount(rawCount(streams));
-}
-
-double
-AccumulationModule::decodedSum(
-    const std::vector<const Bitstream *> &streams) const
 {
     return decodeFromCount(rawCount(streams));
 }

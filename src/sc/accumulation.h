@@ -56,27 +56,15 @@ class AccumulationModule
                    double reference_offset = 0.0) const;
 
     /**
-     * Copy-free variant over borrowed streams: the tile executor gathers
-     * one column across row tiles as pointers instead of copying each
-     * bitstream.
-     */
-    int accumulate(const std::vector<const Bitstream *> &streams,
-                   double reference_offset = 0.0) const;
-
-    /**
-     * Copy-free variant over word views: the batched executor gathers
-     * one (column, sample) across row tiles as StreamViews into the
-     * tiles' BitstreamBatch buffers.
+     * Copy-free variant over word views: the tile executor gathers one
+     * (column, sample) across row tiles as StreamViews into its stream
+     * buffer.
      */
     int accumulate(const std::vector<StreamView> &streams,
                    double reference_offset = 0.0) const;
 
     /** Total ones-count over the window (before comparison). */
     std::size_t rawCount(const std::vector<Bitstream> &streams) const;
-
-    /** Copy-free variant of rawCount over borrowed streams. */
-    std::size_t
-    rawCount(const std::vector<const Bitstream *> &streams) const;
 
     /** Copy-free variant of rawCount over word views. */
     std::size_t rawCount(const std::vector<StreamView> &streams) const;
@@ -91,10 +79,6 @@ class AccumulationModule
     /** The bipolar value implied by the raw count, in [-T, +T]. */
     double decodedSum(const std::vector<Bitstream> &streams) const;
 
-    /** Copy-free variant of decodedSum over borrowed streams. */
-    double
-    decodedSum(const std::vector<const Bitstream *> &streams) const;
-
     /** Copy-free variant of decodedSum over word views. */
     double decodedSum(const std::vector<StreamView> &streams) const;
 
@@ -103,14 +87,10 @@ class AccumulationModule
 
     /**
      * Bits entering the module over one full accumulation: T streams
-     * of L bits. The tile executor's hardware ledger charges this per
-     * merge (see aqfp::LedgerCounts::apcInputBits).
+     * of L bits. aqfp::forwardCounts charges this per merge (see
+     * aqfp::LedgerCounts::apcInputBits).
      */
     std::size_t mergeInputBits() const { return crossbars_ * window_; }
-
-    std::size_t crossbars() const { return crossbars_; }
-    std::size_t window() const { return window_; }
-    bool usesExactApc() const { return useExact; }
 
   private:
     std::size_t crossbars_;

@@ -24,17 +24,6 @@ ParallelCounter::count(const std::vector<std::uint8_t> &bits) const
     return ones;
 }
 
-std::size_t
-ParallelCounter::countStreams(
-    const std::vector<const Bitstream *> &streams) const
-{
-    assert(streams.size() == inputs_);
-    std::size_t ones = 0;
-    for (const Bitstream *s : streams)
-        ones += s->popcount();
-    return ones;
-}
-
 namespace {
 
 inline std::size_t
@@ -101,30 +90,6 @@ ApproxParallelCounter::count(const std::vector<std::uint8_t> &bits) const
     }
     if (inputs_ % 2 == 1)
         ones += bits.back();
-    return ones;
-}
-
-std::size_t
-ApproxParallelCounter::countStreams(
-    const std::vector<const Bitstream *> &streams) const
-{
-    assert(streams.size() == inputs_);
-    std::size_t ones = 0;
-    const std::size_t pairs = inputs_ / 2;
-    for (std::size_t p = 0; p < pairs; ++p) {
-        const Bitstream &a = *streams[2 * p];
-        const Bitstream &b = *streams[2 * p + 1];
-        assert(a.length() == b.length());
-        if (p < droppedPairs_) {
-            // Carry path dropped: each cycle contributes (a | b).
-            ones += simd::active().orPopcountWords(
-                a.words().data(), b.words().data(), a.words().size());
-        } else {
-            ones += a.popcount() + b.popcount();
-        }
-    }
-    if (inputs_ % 2 == 1)
-        ones += streams.back()->popcount();
     return ones;
 }
 

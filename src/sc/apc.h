@@ -35,18 +35,11 @@ class ParallelCounter
 
     /**
      * Total ones counted over a whole observation window at once: input
-     * t's per-cycle bit is streams[t]->bit(l). Equivalent to summing
+     * t's per-cycle bit is bit l of streams[t]. Equivalent to summing
      * count() over every cycle slice, but runs word-at-a-time on the
      * packed streams (the exact counter is cycle-separable, so this is
-     * just the sum of stream popcounts).
-     */
-    std::size_t
-    countStreams(const std::vector<const Bitstream *> &streams) const;
-
-    /**
-     * countStreams over borrowed word views (e.g. samples inside a
-     * BitstreamBatch); views must share one length and obey the packed
-     * zero-tail invariant.
+     * just the sum of stream popcounts). Views must share one length
+     * and obey the packed zero-tail invariant.
      */
     std::size_t countStreams(const std::vector<StreamView> &streams) const;
 
@@ -90,12 +83,9 @@ class ApproxParallelCounter
      * Window-total approximate count on packed streams: dropped pairs
      * contribute popcount(a | b) word-wise (the OR pre-combine applied
      * every cycle), kept inputs contribute their plain popcounts.
-     * Equivalent to summing count() over every cycle slice.
+     * Equivalent to summing count() over every cycle slice; views as in
+     * ParallelCounter::countStreams.
      */
-    std::size_t
-    countStreams(const std::vector<const Bitstream *> &streams) const;
-
-    /** countStreams over borrowed word views (see ParallelCounter). */
     std::size_t countStreams(const std::vector<StreamView> &streams) const;
 
     /** Upper bound on the undercount for any input. */

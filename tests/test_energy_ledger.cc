@@ -18,6 +18,9 @@
  *  - whole-workload totals therefore agree within 1% on the Table 2/3
  *    workloads (the partial-group fc tails are a small share).
  *
+ * The measured side prices aqfp::forwardCounts; the real executor is
+ * the reference for that closed form (every recorded total equals it
+ * across geometries, windows, APC kinds, batch sizes and input views).
  * Plus the ledger determinism properties (bit-identical totals across
  * thread counts, SIMD arms and batch splits), the draw-accounting
  * identities, and the golden-file regression test for the probe JSON.
@@ -38,9 +41,6 @@
 using namespace superbnn;
 using namespace superbnn::core;
 using superbnn::test::ArmRestore;
-using energy_ledger_util::geometryLayer;
-using energy_ledger_util::measureSinglePosition;
-using energy_ledger_util::replayContext;
 
 namespace {
 
@@ -74,22 +74,15 @@ void
 reconcileWorkload(const aqfp::WorkloadSpec &workload,
                   const aqfp::AcceleratorConfig &config)
 {
-    const aqfp::AttenuationModel atten;
     const aqfp::EnergyModel model;
-    const crossbar::TileExecutor exec(config.bitstreamLength, false,
-                                      0.25, 1);
     const std::size_t cs = config.crossbarSize;
     const std::size_t max_act_bits = workload.maxActivationBits();
 
     double measured_total = 0.0, analytic_total = 0.0;
     for (const aqfp::LayerSpec &spec : workload.layers) {
         SCOPED_TRACE(workload.name + "/" + spec.name);
-        const crossbar::MappedLayer layer =
-            geometryLayer(spec.fanIn, spec.fanOut, cs, atten);
-        const aqfp::LedgerCounts counts =
-            measureSinglePosition(exec, layer);
-        const aqfp::EnergyReport measured = model.priceLedger(
-            counts, replayContext(spec, config, max_act_bits));
+        const aqfp::EnergyReport measured =
+            model.measureLayer(spec, config, max_act_bits);
         const aqfp::EnergyReport analytic =
             model.evaluateLayer(spec, config, max_act_bits);
 
@@ -107,8 +100,9 @@ reconcileWorkload(const aqfp::WorkloadSpec &workload,
 
         // The one documented divergence: partial tail column groups
         // merge only their real columns.
+        const std::size_t col_tiles = (spec.fanOut + cs - 1) / cs;
         const double ratio = static_cast<double>(spec.fanOut)
-            / static_cast<double>(layer.colTiles * cs);
+            / static_cast<double>(col_tiles * cs);
         EXPECT_NEAR(measured.scModuleEnergyAj,
                     analytic.scModuleEnergyAj * ratio,
                     analytic.scModuleEnergyAj * 1e-12);
@@ -150,9 +144,9 @@ TEST(EnergyLedgerDifferential, MnistMlpShortWindow)
 
 TEST(EnergyLedgerDifferential, VggSmallTable2)
 {
-    // Full VGG-Small geometry; L = 4 keeps the replay fast (both
-    // models scale identically in L, so agreement at L = 4 pins the
-    // same arithmetic as the paper's L = 32 point).
+    // Full VGG-Small geometry at L = 4 (both models scale identically
+    // in L, so agreement at L = 4 pins the same arithmetic as the
+    // paper's L = 32 point).
     reconcileWorkload(aqfp::workloads::vggSmall(), {16, 4, 5.0, 2.4});
 }
 
@@ -192,17 +186,94 @@ TEST(EnergyLedgerCounts, MatchClosedFormsOnMultiTileLayer)
     EXPECT_EQ(c.columnGroupSteps, samples * 3 * window);
     EXPECT_EQ(c.bufferReadBits, samples * fan_in);
     EXPECT_EQ(c.bufferWriteBits, samples * fan_out);
+    EXPECT_EQ(c, aqfp::forwardCounts(fan_in, fan_out, cs, window, samples));
+}
 
-    // Per-tile breakdown sums to the totals and is uniform here.
-    ASSERT_EQ(ledger.rowTiles(), 3u);
-    ASSERT_EQ(ledger.colTiles(), 3u);
-    for (std::size_t rt = 0; rt < 3; ++rt)
-        for (std::size_t ct = 0; ct < 3; ++ct) {
-            const aqfp::TileCounts tc = ledger.tile(rt, ct);
-            EXPECT_EQ(tc.observations, samples);
-            EXPECT_EQ(tc.cycles, samples * window);
-            EXPECT_EQ(tc.bernoulliDraws, samples * window * cs);
+TEST(EnergyLedgerCounts, ExecutorRecordsForwardCounts)
+{
+    // The real executor is the reference for the closed form: whatever
+    // the geometry, window, APC kind, batch size, input view or pass,
+    // the totals it records equal forwardCounts of the pass. Fan-ins
+    // are never a multiple of Cs, and odd geometries end in a partial
+    // column group.
+    const std::size_t windows[] = {1, 7, 64, 65};
+    Rng rng(2024);
+    aqfp::HardwareLedger ledger;
+    std::size_t geometry = 0;
+    for (const std::size_t cs : {4u, 9u, 16u, 33u, 72u}) {
+        for (const std::size_t fan_in : {cs - 1, cs + 1, 2 * cs + 3}) {
+            const std::size_t fan_out =
+                geometry % 2 == 0 ? 2 * cs : cs + cs / 2 + 1;
+            const std::size_t window = windows[geometry % 4];
+            const bool exact = geometry % 3 == 0;
+            ++geometry;
+            const crossbar::MappedLayer layer =
+                weightedLayer(fan_out, fan_in, cs, rng);
+            const crossbar::TileExecutor exec(window, exact, 0.25, 0);
+            for (const std::size_t samples : {0u, 1u, 5u}) {
+                for (const bool patched : {false, true}) {
+                    // A patch-mapped view reads `samples` images of
+                    // `stride` activations at 3 positions each, with
+                    // some padding (-1) offsets.
+                    const std::size_t positions = patched ? 3 : 1;
+                    const std::size_t stride = patched ? fan_in + 4 : fan_in;
+                    const std::size_t rows = samples * positions;
+                    std::vector<int> data(samples * stride);
+                    for (int &a : data)
+                        a = rng.bernoulli(0.5) ? 1 : -1;
+                    std::vector<std::int32_t> patches(positions * fan_in);
+                    for (std::int32_t &o : patches)
+                        o = rng.bernoulli(0.1)
+                            ? -1
+                            : static_cast<std::int32_t>(rng.randint(
+                                0, static_cast<std::int64_t>(stride) - 1));
+                    const crossbar::InputView in{
+                        data.data(), rows, stride,
+                        patched ? patches.data() : nullptr, positions};
+                    std::vector<std::uint64_t> roots(rows);
+                    for (std::uint64_t &r : roots)
+                        r = rng.raw()();
+                    for (const bool decoded : {false, true}) {
+                        SCOPED_TRACE(
+                            "Cs " + std::to_string(cs) + " fanIn "
+                            + std::to_string(fan_in) + " fanOut "
+                            + std::to_string(fan_out) + " L "
+                            + std::to_string(window) + " rows "
+                            + std::to_string(rows) + " patched "
+                            + std::to_string(patched) + " decoded "
+                            + std::to_string(decoded));
+                        ledger.reset();
+                        if (decoded) {
+                            std::vector<double> out(rows * fan_out);
+                            exec.forwardDecoded(layer, in, roots,
+                                                out.data(), &ledger);
+                        } else {
+                            std::vector<int> out(rows * fan_out);
+                            exec.forward(layer, in, roots, out.data(),
+                                         nullptr, &ledger);
+                        }
+                        EXPECT_EQ(ledger.totals(),
+                                  aqfp::forwardCounts(fan_in, fan_out, cs,
+                                                      window, rows));
+                    }
+                }
+            }
         }
+    }
+}
+
+TEST(EnergyLedgerCounts, ForwardCountsRejectZeroGeometry)
+{
+    EXPECT_THROW(aqfp::forwardCounts(0, 4, 4, 8, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(aqfp::forwardCounts(4, 0, 4, 8, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(aqfp::forwardCounts(4, 4, 0, 8, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(aqfp::forwardCounts(4, 4, 4, 0, 1),
+                 std::invalid_argument);
+    // Zero samples is an empty pass, not a bad geometry.
+    EXPECT_EQ(aqfp::forwardCounts(4, 4, 4, 8, 0), aqfp::LedgerCounts{});
 }
 
 TEST(EnergyLedgerCounts, ForwardDecodedCountsLikeForward)
@@ -302,39 +373,10 @@ TEST(EnergyLedgerDeterminism, BatchOfNEqualsNSingles)
         exec.forward(layer, sample, fwd2, &singles);
 
     EXPECT_EQ(batched.totals(), singles.totals());
-    for (std::size_t rt = 0; rt < batched.rowTiles(); ++rt)
-        for (std::size_t ct = 0; ct < batched.colTiles(); ++ct)
-            EXPECT_EQ(batched.tile(rt, ct), singles.tile(rt, ct))
-                << rt << "," << ct;
+    EXPECT_EQ(batched.totals(), aqfp::forwardCounts(24, 20, 8, 16, 5));
 }
 
 // --- ledger mechanics ---
-
-TEST(HardwareLedgerTest, GridGrowsAcrossMixedGeometries)
-{
-    Rng rng(24);
-    crossbar::MappedLayer small = weightedLayer(8, 8, 8, rng);   // 1x1
-    crossbar::MappedLayer wide = weightedLayer(20, 8, 8, rng);   // 1x3
-    const crossbar::TileExecutor exec(8, false, 0.25, 1);
-
-    aqfp::HardwareLedger ledger;
-    Rng fwd(66);
-    exec.forward(small, randomBatch(2, 8, fwd), fwd, &ledger);
-    exec.forward(wide, randomBatch(1, 8, fwd), fwd, &ledger);
-    EXPECT_EQ(ledger.rowTiles(), 1u);
-    EXPECT_EQ(ledger.colTiles(), 3u);
-    // Tile (0,0) saw both passes; (0,2) only the wide layer's.
-    EXPECT_EQ(ledger.tile(0, 0).observations, 3u);
-    EXPECT_EQ(ledger.tile(0, 2).observations, 1u);
-    // Out-of-grid coordinates read as zero.
-    EXPECT_EQ(ledger.tile(5, 5), aqfp::TileCounts{});
-
-    const aqfp::LedgerCounts before = ledger.totals();
-    EXPECT_EQ(before.samples, 3u);
-    ledger.reset();
-    EXPECT_EQ(ledger.totals(), aqfp::LedgerCounts{});
-    EXPECT_EQ(ledger.rowTiles(), 0u);
-}
 
 TEST(HardwareLedgerTest, CountsJsonIsStable)
 {

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the ledger-driven, cache-backed design-space explorer:
- * CoOptSpace validation, empty-feasible-set behavior, the CostFn
- * lattice, Pareto-front extraction, the programmed-model cache
- * (hit/miss accounting, read-only concurrent sharing, cached ==
- * uncached bit-identity), and the headline differential property —
+ * Tests for the ledger-driven design-space explorer: CoOptSpace
+ * validation, empty-feasible-set behavior, the CostFn lattice,
+ * Pareto-front extraction, thread-count bit-identity, the
+ * programmed-model cache's hit/miss accounting, measureLayer against a
+ * real executor forward, and the headline differential property —
  * the ledger-backed cost function ranks a partial-tail-column-group
  * workload differently from the analytic one, with the measured SC
  * term matching the PR-5 reconciliation formula
@@ -14,11 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <thread>
 
 #include "core/cooptimizer.h"
 #include "core/explorer.h"
-#include "energy_ledger_util.h"
+#include "crossbar/model_cache.h"
+#include "crossbar/tile_executor.h"
 
 using namespace superbnn;
 using namespace superbnn::core;
@@ -401,166 +401,92 @@ TEST(ModelCache, HitMissAccounting)
     auto cache =
         std::make_shared<crossbar::ProgrammedModelCache>(atten());
     EXPECT_EQ(cache->size(), 0u);
+    int builds = 0;
+    const auto build = [&] {
+        ++builds;
+        return crossbar::geometryLayer(24, 10, 8, atten());
+    };
 
-    const auto a = cache->geometry(24, 10, 8);
-    EXPECT_EQ(cache->stats().misses, 1u);
-    EXPECT_EQ(cache->stats().hits, 0u);
+    const auto a = cache->named("fc", build);
+    EXPECT_EQ(cache->namedStats().misses, 1u);
+    EXPECT_EQ(cache->namedStats().hits, 0u);
 
-    const auto b = cache->geometry(24, 10, 8);
-    EXPECT_EQ(cache->stats().misses, 1u);
-    EXPECT_EQ(cache->stats().hits, 1u);
+    const auto b = cache->named("fc", build);
+    EXPECT_EQ(cache->namedStats().misses, 1u);
+    EXPECT_EQ(cache->namedStats().hits, 1u);
     EXPECT_EQ(a.get(), b.get()) << "a hit must share the mapped model";
+    EXPECT_EQ(builds, 1);
 
-    // A different deltaIin is a different programmed model.
-    const auto c = cache->geometry(24, 10, 8, 3.2);
-    EXPECT_EQ(cache->stats().misses, 2u);
+    // A different key is a different programmed model.
+    const auto c = cache->named("fc@3.2", build);
+    EXPECT_EQ(cache->namedStats().misses, 2u);
     EXPECT_NE(a.get(), c.get());
     EXPECT_EQ(cache->size(), 2u);
 
     cache->clear();
     EXPECT_EQ(cache->size(), 0u);
-    EXPECT_EQ(cache->stats().misses, 0u);
+    EXPECT_EQ(cache->namedStats().misses, 0u);
     // Holders keep their models after clear().
     EXPECT_EQ(a->fanIn, 24u);
 }
 
-TEST(ModelCache, WindowAxisSharesModelsAndGeometrySharesCounts)
-{
-    // Candidates differing only in L hit the same mapped model; the
-    // probe's counts memo is keyed by (geometry, Cs, L).
-    const aqfp::MeasuredCostProbe probe(atten());
-    const aqfp::AcceleratorConfig l4{8, 4, 5.0, 2.4};
-    const aqfp::AcceleratorConfig l8{8, 8, 5.0, 2.4};
-    const aqfp::LayerSpec spec = aqfp::LayerSpec::fc("l", 16, 10);
-
-    (void)probe.measureLayer(spec, l4, 10);
-    const auto model_after_first = probe.modelCache()->stats();
-    EXPECT_EQ(model_after_first.misses, 1u);
-    EXPECT_EQ(probe.countsStats().misses, 1u);
-
-    (void)probe.measureLayer(spec, l8, 10);
-    // New window: counts re-measured, model reused.
-    EXPECT_EQ(probe.modelCache()->stats().misses, 1u);
-    EXPECT_EQ(probe.modelCache()->stats().hits, 1u);
-    EXPECT_EQ(probe.countsStats().misses, 2u);
-
-    (void)probe.measureLayer(spec, l8, 10);
-    // Same (geometry, Cs, L): pure counts hit, no replay at all.
-    EXPECT_EQ(probe.modelCache()->stats().hits, 1u);
-    EXPECT_EQ(probe.countsStats().hits, 1u);
-}
+// --- ledger-measured layer reports ------------------------------------------
 
 TEST(ModelCache, ProbeCountsMatchDirectReplay)
 {
-    // The probe's memoized calibration replay is the same measurement
-    // the energy benches take (energy_ledger_util::
-    // measureSinglePosition over a geometry layer).
-    const aqfp::AttenuationModel at = atten();
-    const aqfp::MeasuredCostProbe probe(at);
-    const crossbar::TileExecutor exec(16, false, 0.25, 1);
-    const crossbar::MappedLayer layer =
-        energy_ledger_util::geometryLayer(24, 9, 8, at);
-    const aqfp::LedgerCounts direct =
-        energy_ledger_util::measureSinglePosition(exec, layer);
-    EXPECT_EQ(probe.countsFor(24, 9, 8, 16), direct);
+    // EnergyModel::measureLayer prices exactly the counts a real
+    // single-position forward through the executor records.
+    const aqfp::EnergyModel model;
+    const aqfp::AcceleratorConfig config{8, 16, 5.0, 2.4};
+    const std::size_t max_act_bits = 96;
+    for (const aqfp::LayerSpec &spec :
+         {aqfp::LayerSpec::fc("fc", 24, 9),
+          aqfp::LayerSpec::conv("conv", 3, 5, 3, 4, 4)}) {
+        SCOPED_TRACE(spec.name);
+        const crossbar::MappedLayer layer = crossbar::geometryLayer(
+            spec.fanIn, spec.fanOut, config.crossbarSize, atten());
+        const crossbar::TileExecutor exec(config.bitstreamLength, false,
+                                          0.25, 1);
+        aqfp::HardwareLedger ledger;
+        Rng rng(1);
+        (void)exec.forward(layer, std::vector<int>(spec.fanIn, 1), rng,
+                           &ledger);
+        const aqfp::EnergyReport direct = model.priceLedger(
+            ledger.totals(),
+            aqfp::layerReplayContext(spec, config, max_act_bits));
+        EXPECT_EQ(aqfp::toJson(model.measureLayer(spec, config,
+                                                  max_act_bits)),
+                  aqfp::toJson(direct));
+    }
 }
 
-TEST(ModelCache, ExplorerBitIdenticalAcrossThreadsAndCacheState)
+TEST(Explorer, BitIdenticalAcrossThreadCounts)
 {
     const aqfp::WorkloadSpec workload = aqfp::workloads::mnistMlp();
     CoOptSpace space;
     space.crossbarSizes = {8, 18};
-    // Two gray zones: under parallel fan-out either one can race to a
-    // counts miss first, so this axis pins the cache COUNTERS (not
-    // just the results) as scheduling-independent — the probe must
-    // replay against the canonical-deltaIin model either way.
     space.grayZones = {1.6, 2.4};
     space.bitstreamLengths = {2, 4};
 
-    // Cold private cache, sequential.
     ExploreOptions sequential;
     sequential.measure = true;
     sequential.threads = 1;
-    const DesignSpaceExplorer cold(atten());
-    const auto reference = cold.explore(workload, space, sequential);
+    const DesignSpaceExplorer explorer(atten());
+    const auto reference = explorer.explore(workload, space, sequential);
     ASSERT_EQ(reference.size(), 8u);
     for (const auto &cand : reference)
         ASSERT_TRUE(cand.measured.has_value());
-    const auto ref_model_stats = cold.modelCache()->stats();
-    const auto ref_counts_stats = cold.probe().countsStats();
 
-    // Warm cache (second run on the same explorer): every replay is a
-    // counts-memo hit, which short-circuits the model cache entirely
-    // (its counters stay put); results bit-identical.
-    const auto warm = cold.explore(workload, space, sequential);
-    expectBitIdentical(reference, warm);
-    EXPECT_EQ(cold.modelCache()->stats().hits, ref_model_stats.hits);
-    EXPECT_EQ(cold.modelCache()->stats().misses, ref_model_stats.misses);
-    EXPECT_GT(cold.probe().countsStats().hits, ref_counts_stats.hits);
-
-    // Parallel fan-out at several thread counts, fresh caches: results
-    // AND cache accounting must match the sequential reference.
-    for (std::size_t threads : {2ul, 4ul, 8ul}) {
+    // Private pools at several thread counts, then the shared pool
+    // (threads = 0).
+    for (std::size_t threads : {2ul, 4ul, 8ul, 0ul}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         ExploreOptions parallel;
         parallel.measure = true;
         parallel.threads = threads;
-        const DesignSpaceExplorer fresh(atten());
         expectBitIdentical(reference,
-                           fresh.explore(workload, space, parallel));
-        EXPECT_EQ(fresh.modelCache()->stats().hits,
-                  ref_model_stats.hits);
-        EXPECT_EQ(fresh.modelCache()->stats().misses,
-                  ref_model_stats.misses);
-        EXPECT_EQ(fresh.probe().countsStats().hits,
-                  ref_counts_stats.hits);
-        EXPECT_EQ(fresh.probe().countsStats().misses,
-                  ref_counts_stats.misses);
+                           explorer.explore(workload, space, parallel));
     }
-
-    // Shared-pool fan-out (threads = 0) over a shared warm cache.
-    ExploreOptions pooled;
-    pooled.measure = true;
-    const DesignSpaceExplorer shared_cache(
-        atten(), aqfp::EnergyModel(), AmeOptions{}, cold.modelCache());
-    expectBitIdentical(reference,
-                       shared_cache.explore(workload, space, pooled));
-}
-
-TEST(ModelCache, ConcurrentExplorersShareOneCache)
-{
-    // Two explorers race explore() over one shared model cache while
-    // each fans its own candidates out — the TSan job runs this test:
-    // cached MappedLayers are shared read-only across threads, the
-    // cache/probe bookkeeping is internally synchronized.
-    const aqfp::WorkloadSpec workload = aqfp::workloads::mnistMlp();
-    CoOptSpace space;
-    space.crossbarSizes = {8, 16};
-    space.grayZones = {2.4};
-    space.bitstreamLengths = {2, 4};
-
-    auto cache =
-        std::make_shared<crossbar::ProgrammedModelCache>(atten());
-    const DesignSpaceExplorer a(atten(), aqfp::EnergyModel(),
-                                AmeOptions{}, cache);
-    const DesignSpaceExplorer b(atten(), aqfp::EnergyModel(),
-                                AmeOptions{}, cache);
-
-    ExploreOptions options;
-    options.measure = true;
-    options.threads = 2;
-    std::vector<CoOptCandidate> ra, rb;
-    std::thread ta([&] { ra = a.explore(workload, space, options); });
-    std::thread tb([&] { rb = b.explore(workload, space, options); });
-    ta.join();
-    tb.join();
-    expectBitIdentical(ra, rb);
-
-    // Both explorers drew from one cache: at most one miss per
-    // distinct geometry (3 layers x 2 crossbar sizes), the rest hits.
-    const auto stats = cache->stats();
-    EXPECT_LE(stats.misses, 6u);
-    EXPECT_GT(stats.hits, 0u);
 }
 
 // --- zero-image pricing guard ---------------------------------------------

@@ -402,13 +402,6 @@ TEST(HardwarePlanCache, PlansDifferingInOneLayerShareTheRest)
     EXPECT_EQ(after_b.misses, 4u) << "only layer 0 rebuilds";
     EXPECT_EQ(after_b.hits, 2u) << "layers 1 and head shared";
 
-    // Combined stats() stays the sum of both sections.
-    EXPECT_EQ(cache->stats().hits,
-              cache->geometryStats().hits + cache->namedStats().hits);
-    EXPECT_EQ(cache->stats().misses,
-              cache->geometryStats().misses
-                  + cache->namedStats().misses);
-
     // A warm-cache map is bit-identical to a cold direct map.
     HardwareEvaluator direct(aqfp::AttenuationModel(), plan_b);
     direct.mapMlp(mlp);

@@ -475,11 +475,11 @@ TEST(ScenarioSweepDeterminismTest, BitIdenticalWarmAndColdCache)
         aqfp::AttenuationModel());
     const std::string cold =
         core::toJson(yield_surface_util::runDemoSweep(1, cache));
-    const auto stats_cold = cache->stats();
+    const auto stats_cold = cache->namedStats();
     EXPECT_GT(stats_cold.hits, 0u); // chips share the pristine build
     const std::string warm =
         core::toJson(yield_surface_util::runDemoSweep(1, cache));
-    const auto stats_warm = cache->stats();
+    const auto stats_warm = cache->namedStats();
     EXPECT_GT(stats_warm.hits, stats_cold.hits);
     EXPECT_EQ(stats_warm.misses, stats_cold.misses);
     EXPECT_EQ(cold, warm);

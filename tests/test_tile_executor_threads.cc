@@ -416,25 +416,22 @@ TEST(CrossbarBatchTest, ObserveBatchSeededUsesColumnMajorCounterLayout)
 
 // --- view-based accumulation ---
 
-TEST(AccumulationViewTest, ViewOverloadsMatchPointerOverloads)
+TEST(AccumulationViewTest, ViewOverloadsMatchBitstreamOverloads)
 {
     Rng rng(31);
     const std::size_t tiles = 5, window = 77;
     std::vector<sc::Bitstream> streams;
-    std::vector<const sc::Bitstream *> ptrs;
     std::vector<sc::StreamView> views;
     for (std::size_t t = 0; t < tiles; ++t)
         streams.push_back(sc::Bitstream::bernoulli(
             window, 0.2 + 0.15 * static_cast<double>(t), rng));
-    for (const auto &s : streams) {
-        ptrs.push_back(&s);
+    for (const auto &s : streams)
         views.push_back(sc::viewOf(s));
-    }
     for (const bool exact : {true, false}) {
         const sc::AccumulationModule mod(tiles, window, exact, 0.5);
-        EXPECT_EQ(mod.rawCount(views), mod.rawCount(ptrs));
-        EXPECT_EQ(mod.accumulate(views), mod.accumulate(ptrs));
-        EXPECT_DOUBLE_EQ(mod.decodedSum(views), mod.decodedSum(ptrs));
+        EXPECT_EQ(mod.rawCount(views), mod.rawCount(streams));
+        EXPECT_EQ(mod.accumulate(views), mod.accumulate(streams));
+        EXPECT_DOUBLE_EQ(mod.decodedSum(views), mod.decodedSum(streams));
     }
 }
 
@@ -618,14 +615,15 @@ struct ReferenceForward
 {
     std::vector<std::vector<int>> bits;
     std::vector<std::vector<double>> decoded;
-    aqfp::HardwareLedger ledger;
+    aqfp::LedgerCounts counts;
 };
 
 /**
  * One layer forward the two-phase way, from public calls only: every
  * (rowTile, colTile) observes all Cs columns of every sample with
- * observeBatchSeeded (its counts read back from the counter streams),
- * then every (sample, column) is merged across the row tiles.
+ * observeBatchSeeded (its tile counts, summed into `counts`, read back
+ * from the counter streams: the draws actually consumed), then every
+ * (sample, column) is merged across the row tiles.
  */
 ReferenceForward
 referenceForward(const MappedLayer &layer,
@@ -637,7 +635,7 @@ referenceForward(const MappedLayer &layer,
     ReferenceForward ref;
     ref.bits.assign(samples, std::vector<int>(layer.fanOut));
     ref.decoded.assign(samples, std::vector<double>(layer.fanOut));
-    ref.ledger.beginForward(layer.rowTiles, layer.colTiles, samples);
+    ref.counts.samples = samples;
     std::vector<std::vector<sc::BitstreamBatch>> observed;
     for (std::size_t rt = 0; rt < layer.rowTiles; ++rt) {
         const std::size_t r0 = rt * layer.cs;
@@ -650,10 +648,12 @@ referenceForward(const MappedLayer &layer,
             std::vector<std::uint64_t> seeds;
             for (const std::uint64_t root : roots)
                 seeds.push_back(referenceTileSeed(root, rt, ct));
-            aqfp::TileCounts counts;
+            aqfp::TileCounts tile;
             observed.push_back(layer.tile(rt, ct).observeBatchSeeded(
-                slices, window, seeds, &counts));
-            ref.ledger.recordTile(rt, ct, counts);
+                slices, window, seeds, &tile));
+            ref.counts.tileObservations += tile.observations;
+            ref.counts.crossbarCycles += tile.cycles;
+            ref.counts.bernoulliDraws += tile.bernoulliDraws;
         }
     }
     const sc::AccumulationModule accum(layer.rowTiles, window, exact,
@@ -671,11 +671,13 @@ referenceForward(const MappedLayer &layer,
         }
     const std::uint64_t merges =
         static_cast<std::uint64_t>(samples) * layer.fanOut;
-    ref.ledger.recordMerge(merges, merges * accum.mergeInputBits(),
-                           static_cast<std::uint64_t>(samples)
-                               * layer.colTiles * window);
-    ref.ledger.recordBuffer(
-        static_cast<std::uint64_t>(samples) * layer.fanIn, merges);
+    ref.counts.apcAccumulations = merges;
+    ref.counts.apcInputBits = merges * accum.mergeInputBits();
+    ref.counts.columnGroupSteps =
+        static_cast<std::uint64_t>(samples) * layer.colTiles * window;
+    ref.counts.bufferReadBits =
+        static_cast<std::uint64_t>(samples) * layer.fanIn;
+    ref.counts.bufferWriteBits = merges;
     return ref;
 }
 
@@ -746,11 +748,7 @@ TEST(FusedExecutorTest, MatchesTwoPhaseReferenceAcrossGeometries)
                 aqfp::HardwareLedger ledger;
                 EXPECT_EQ(exec.forwardSeeded(layer, batch, roots, &ledger),
                           ref.bits);
-                EXPECT_EQ(ledger.totals(), ref.ledger.totals());
-                for (std::size_t rt = 0; rt < layer.rowTiles; ++rt)
-                    for (std::size_t ct = 0; ct < layer.colTiles; ++ct)
-                        EXPECT_EQ(ledger.tile(rt, ct),
-                                  ref.ledger.tile(rt, ct));
+                EXPECT_EQ(ledger.totals(), ref.counts);
                 // Decoded values are compared exactly: both sides
                 // decode the same integer count.
                 EXPECT_EQ(exec.forwardDecodedSeeded(layer, batch, roots),

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/cooptimizer.h"
+#include "core/explorer.h"
 
 using namespace superbnn;
 using namespace superbnn::core;
@@ -38,13 +38,13 @@ main()
 
     bench_util::header(
         "Co-optimization under an efficiency constraint (Sec 5.4)");
-    const CoOptimizer opt(atten);
+    const DesignSpaceExplorer explorer(atten);
     CoOptSpace space;
     space.minTopsPerWatt = 1e5;
     const auto workload = aqfp::workloads::vggSmall();
-    const auto chosen = opt.bestByAme(workload, space);
-    std::printf("feasible candidates: %zu\n",
-                opt.enumerate(workload, space).size());
+    const auto feasible = explorer.explore(workload, space);
+    const auto chosen = DesignSpaceExplorer::best(feasible, costs::ame());
+    std::printf("feasible candidates: %zu\n", feasible.size());
     std::printf("chosen: Cs=%zu, L=%zu, deltaIin=%.1f uA | "
                 "AME=%.4f, %s TOPS/W (w/o cooling)\n",
                 chosen.config.crossbarSize,

@@ -1,20 +1,17 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator kernels: gray-zone
- * sampling, crossbar column evaluation, the SC accumulation module, the
- * tile executor, and the tensor matmul underlying training — plus
- * self-timed comparisons of the SC hot paths against their retired
- * baselines: packed vs byte-per-bit XNOR+popcount, counter-based vs
- * mt19937 Bernoulli fill, and shared-pool vs private-pool executor
- * construction.
+ * sampling, the SC accumulation module, the tile executor, per-arm
+ * XNOR+popcount and Bernoulli fill, and the tensor matmul underlying
+ * training — plus self-timed sweeps: shared-pool vs private-pool
+ * executor construction, sharded fan-out, threads x batch, and the SIMD
+ * dispatch arms.
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <random>
 #include <string>
 
 #include <benchmark/benchmark.h>
@@ -32,35 +29,6 @@ using namespace superbnn;
 
 namespace {
 
-/**
- * Byte-per-bit reference bitstream — the representation sc::Bitstream
- * used before word packing. Kept here as the baseline the packed
- * implementation is measured against.
- */
-struct ByteBitstream
-{
-    std::vector<std::uint8_t> bits;
-
-    static ByteBitstream
-    random(std::size_t length, double p, Rng &rng)
-    {
-        ByteBitstream out;
-        out.bits.resize(length);
-        for (auto &b : out.bits)
-            b = rng.bernoulli(p) ? 1 : 0;
-        return out;
-    }
-
-    std::size_t
-    xnorPopcount(const ByteBitstream &other) const
-    {
-        std::size_t ones = 0;
-        for (std::size_t i = 0; i < bits.size(); ++i)
-            ones += bits[i] == other.bits[i] ? 1 : 0;
-        return ones;
-    }
-};
-
 void
 BM_GrayZoneSample(benchmark::State &state)
 {
@@ -73,25 +41,6 @@ BM_GrayZoneSample(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GrayZoneSample);
-
-void
-BM_CrossbarEvaluate(benchmark::State &state)
-{
-    const std::size_t cs = static_cast<std::size_t>(state.range(0));
-    const aqfp::AttenuationModel atten;
-    crossbar::CrossbarArray xbar(cs, atten, 2.4);
-    Rng rng(2);
-    std::vector<int> acts(cs);
-    for (std::size_t r = 0; r < cs; ++r) {
-        acts[r] = rng.bernoulli(0.5) ? 1 : -1;
-        for (std::size_t c = 0; c < cs; ++c)
-            xbar.programCell(r, c, rng.bernoulli(0.5) ? 1 : -1);
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(xbar.evaluate(acts, rng));
-    state.SetItemsProcessed(state.iterations() * cs * cs);
-}
-BENCHMARK(BM_CrossbarEvaluate)->Arg(8)->Arg(16)->Arg(36)->Arg(72);
 
 void
 BM_AccumulationModule(benchmark::State &state)
@@ -254,64 +203,6 @@ BM_BernoulliFillArm(benchmark::State &state, simd::Arm arm)
     simd::setActiveArm(previous);
 }
 
-/**
- * The PR-3 Bernoulli fill, kept as the measured baseline: a serial
- * mt19937_64 draw per bit into a word-sized buffer, packed through the
- * packThresholdWord kernel. (The library no longer runs this path;
- * reportBernoulliSpeedup compares against it.)
- */
-void
-legacyBernoulliFill(std::uint64_t *words, std::size_t length, double p,
-                    std::mt19937_64 &engine)
-{
-    const std::uint64_t threshold =
-        static_cast<std::uint64_t>(std::ldexp(p, 64));
-    const simd::KernelSet &kernels = simd::active();
-    std::uint64_t draws[64];
-    const std::size_t full = length / 64;
-    for (std::size_t w = 0; w < full; ++w) {
-        for (std::size_t b = 0; b < 64; ++b)
-            draws[b] = engine();
-        words[w] = kernels.packThresholdWord(draws, 64, threshold);
-    }
-    const std::size_t tail = length % 64;
-    if (tail != 0) {
-        for (std::size_t b = 0; b < tail; ++b)
-            draws[b] = engine();
-        words[full] = kernels.packThresholdWord(draws, tail, threshold);
-    }
-}
-
-void
-BM_BernoulliFillMt19937Ref(benchmark::State &state)
-{
-    const std::size_t window = static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint64_t> words(
-        sc::detail::wordsForLength(window));
-    std::mt19937_64 engine(0x5eedULL);
-    for (auto _ : state) {
-        legacyBernoulliFill(words.data(), window, 0.37, engine);
-        benchmark::DoNotOptimize(words.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * window);
-}
-BENCHMARK(BM_BernoulliFillMt19937Ref)->Arg(64)->Arg(1024);
-
-void
-BM_XnorPopcountByteRef(benchmark::State &state)
-{
-    const std::size_t window = static_cast<std::size_t>(state.range(0));
-    Rng rng(6);
-    const ByteBitstream a = ByteBitstream::random(window, 0.3, rng);
-    const ByteBitstream b = ByteBitstream::random(window, 0.6, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(a.xnorPopcount(b));
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * window);
-}
-BENCHMARK(BM_XnorPopcountByteRef)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-
 void
 BM_MatMul(benchmark::State &state)
 {
@@ -324,111 +215,6 @@ BM_MatMul(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n * n * n * 2);
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
-
-/**
- * Self-timed packed-vs-reference summary: reports the XNOR+popcount
- * throughput ratio of the word-packed Bitstream over the byte-per-bit
- * baseline at each SC window. Printed after the google-benchmark run so
- * the speedup is a measured number in the bench output, not an
- * assertion.
- */
-void
-reportPackedSpeedup()
-{
-    using clock = std::chrono::steady_clock;
-    std::printf("\n==== packed vs byte-per-bit XNOR+popcount ====\n");
-    std::printf("%8s %16s %16s %10s\n", "window", "byte (Gbit/s)",
-                "packed (Gbit/s)", "speedup");
-    Rng rng(7);
-    for (const std::size_t window : {64u, 256u, 1024u, 4096u}) {
-        const ByteBitstream ba = ByteBitstream::random(window, 0.3, rng);
-        const ByteBitstream bb = ByteBitstream::random(window, 0.6, rng);
-        const sc::Bitstream pa(ba.bits);
-        const sc::Bitstream pb(bb.bits);
-        // Equal bit budget per side so the ratio is iteration-free.
-        const std::size_t total_bits = 1u << 28;
-        const std::size_t iters = total_bits / window;
-
-        const auto t0 = clock::now();
-        for (std::size_t i = 0; i < iters; ++i)
-            benchmark::DoNotOptimize(ba.xnorPopcount(bb));
-        const auto t1 = clock::now();
-        for (std::size_t i = 0; i < iters; ++i)
-            benchmark::DoNotOptimize(pa.xnorPopcount(pb));
-        const auto t2 = clock::now();
-
-        const double byte_s =
-            std::chrono::duration<double>(t1 - t0).count();
-        const double packed_s =
-            std::chrono::duration<double>(t2 - t1).count();
-        const double bits = static_cast<double>(iters)
-            * static_cast<double>(window);
-        std::printf("%8zu %16.2f %16.2f %9.1fx\n", window,
-                    bits / byte_s / 1e9, bits / packed_s / 1e9,
-                    byte_s / packed_s);
-    }
-}
-
-/**
- * Self-timed Bernoulli-fill summary: the PR-3 baseline (a fresh
- * mt19937_64 per tile task — the 312-word init — plus one serial draw
- * per bit) against the counter-based kernel (8-byte seed, vector-wide
- * draws), both modeled as the executor's real unit of work: one
- * (sample, tile) task filling Cs = 16 column streams of one window.
- * Printed per dispatch arm so the table shows the seeding win and the
- * vectorization win separately.
- */
-void
-reportBernoulliSpeedup()
-{
-    using clock = std::chrono::steady_clock;
-    const std::size_t columns = 16; // Cs of the Table-2/3 workloads
-    std::printf("\n==== Bernoulli fill: mt19937 draw-buffer (PR 3) vs "
-                "counter kernel, per (sample, tile) task ====\n");
-    const simd::Arm previous = simd::activeArm();
-    for (const simd::Arm arm : simd::availableArms()) {
-        simd::setActiveArm(arm);
-        std::printf("[%s]\n", simd::armName(arm));
-        std::printf("%8s %18s %18s %9s\n", "window",
-                    "mt19937 (Gbit/s)", "counter (Gbit/s)", "speedup");
-        for (const std::size_t window : {16u, 64u, 256u, 1024u}) {
-            const std::size_t words =
-                sc::detail::wordsForLength(window);
-            std::vector<std::uint64_t> buf(words * columns);
-            const std::size_t task_bits = window * columns;
-            const std::size_t tasks = (std::size_t{1} << 26) / task_bits;
-
-            const auto t0 = clock::now();
-            for (std::size_t t = 0; t < tasks; ++t) {
-                std::mt19937_64 engine(t); // per-task seeding, as PR 3
-                for (std::size_t c = 0; c < columns; ++c)
-                    legacyBernoulliFill(buf.data() + c * words, window,
-                                        0.37, engine);
-                benchmark::DoNotOptimize(buf.data());
-            }
-            const auto t1 = clock::now();
-            for (std::size_t t = 0; t < tasks; ++t) {
-                sc::detail::CounterStream stream{t, 0};
-                for (std::size_t c = 0; c < columns; ++c)
-                    sc::detail::bernoulliFill(buf.data() + c * words,
-                                              window, 0.37, stream);
-                benchmark::DoNotOptimize(buf.data());
-            }
-            const auto t2 = clock::now();
-
-            const double legacy_s =
-                std::chrono::duration<double>(t1 - t0).count();
-            const double counter_s =
-                std::chrono::duration<double>(t2 - t1).count();
-            const double bits = static_cast<double>(tasks)
-                * static_cast<double>(task_bits);
-            std::printf("%8zu %18.2f %18.2f %8.1fx\n", window,
-                        bits / legacy_s / 1e9, bits / counter_s / 1e9,
-                        legacy_s / counter_s);
-        }
-    }
-    simd::setActiveArm(previous);
-}
 
 /**
  * Self-timed shared-pool comparison: construct-and-run many executors
@@ -652,8 +438,7 @@ reportThreadBatchSweep()
  * Self-timed dispatch-arm sweep of the XNOR+popcount kernel: every arm
  * the host supports, at each SC window, against the scalar arm. The
  * speedup column at window 1024 is the headline number for the SIMD
- * layer (the packed-vs-byte table above already covers word packing
- * itself).
+ * layer.
  */
 void
 reportSimdArmSweep()
@@ -827,8 +612,6 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     if (full_run) {
-        reportPackedSpeedup();
-        reportBernoulliSpeedup();
         reportSimdArmSweep();
         reportExecutorPoolReuse();
         reportShardedFanOut();

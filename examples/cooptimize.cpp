@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/cooptimizer.h"
+#include "core/explorer.h"
 #include "core/hardware_eval.h"
 #include "core/trainer.h"
 #include "data/synthetic_mnist.h"
@@ -21,7 +21,7 @@ int
 main()
 {
     const aqfp::AttenuationModel atten;
-    const CoOptimizer opt(atten);
+    const DesignSpaceExplorer explorer(atten);
 
     CoOptSpace space;
     space.crossbarSizes = {8, 16, 36};
@@ -30,7 +30,7 @@ main()
     space.minTopsPerWatt = 5e4; // the efficiency demand
 
     const auto workload = aqfp::workloads::mnistMlp();
-    auto candidates = opt.enumerate(workload, space);
+    auto candidates = explorer.explore(workload, space);
     std::printf("feasible configurations: %zu\n", candidates.size());
 
     // Rank by AME, then short-list the best candidate of *each*

@@ -8,10 +8,12 @@ std::size_t
 LogicNetlist::addGate(CellType type, std::size_t level,
                       std::vector<std::size_t> fanin)
 {
+#ifndef NDEBUG
     for (std::size_t src : fanin) {
         assert(src < gates_.size());
         assert(gates_[src].level < level);
     }
+#endif
     gates_.push_back({type, level, std::move(fanin)});
     if (level + 1 > depth_)
         depth_ = level + 1;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace superbnn::aqfp {
 
@@ -9,16 +11,18 @@ namespace {
 constexpr double kSqrtPi = 1.7724538509055160273;
 } // namespace
 
-GrayZoneModel::GrayZoneModel(double delta_iin, double ith)
-    : deltaIin_(delta_iin), ith_(ith)
+GrayZoneModel::GrayZoneModel(double delta_iin, double ith) : ith_(ith)
 {
-    assert(delta_iin > 0.0);
+    setDeltaIin(delta_iin);
 }
 
 void
 GrayZoneModel::setDeltaIin(double d)
 {
-    assert(d > 0.0);
+    if (!std::isfinite(d) || !(d > 0.0))
+        throw std::invalid_argument(
+            "GrayZoneModel: delta_iin must be positive and finite (got "
+            + std::to_string(d) + ")");
     deltaIin_ = d;
 }
 
@@ -33,12 +37,6 @@ GrayZoneModel::expectationGrad(double iin) const
 {
     const double z = (iin - ith_) / deltaIin_;
     return (2.0 / deltaIin_) * std::exp(-M_PI * z * z);
-}
-
-int
-GrayZoneModel::sampleBipolar(double iin, Rng &rng) const
-{
-    return rng.bernoulli(probOne(iin)) ? +1 : -1;
 }
 
 int

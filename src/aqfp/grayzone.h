@@ -35,6 +35,8 @@ class GrayZoneModel
      *                   4.2 K; randomized switching boundary ~ +/-2 uA)
      * @param ith        comparator threshold current in micro-amperes
      *                   (adjustable; BN matching programs this, Eq. 16)
+     * @throws std::invalid_argument when @p delta_iin is not positive
+     *         and finite (as setDeltaIin)
      */
     explicit GrayZoneModel(double delta_iin = 2.4, double ith = 0.0);
 
@@ -47,9 +49,6 @@ class GrayZoneModel
      * (Eq. 10): d/dx erf(sqrt(pi)(x-Ith)/D) = (2/D) exp(-pi((x-Ith)/D)^2).
      */
     double expectationGrad(double iin) const;
-
-    /** Draw one output: +1 with probability probOne, else -1. */
-    int sampleBipolar(double iin, Rng &rng) const;
 
     /** Draw one output bit: 1 with probability probOne, else 0. */
     int sampleBit(double iin, Rng &rng) const;
@@ -64,6 +63,7 @@ class GrayZoneModel
     double deltaIin() const { return deltaIin_; }
     double ith() const { return ith_; }
     void setIth(double ith) { ith_ = ith; }
+    /** @throws std::invalid_argument unless @p d is positive and finite */
     void setDeltaIin(double d);
 
   private:

@@ -189,8 +189,8 @@ DesignSpaceExplorer::explore(const aqfp::WorkloadSpec &workload,
     util::parallelForThreads(options.threads, feasible.size(), evaluate);
 
     // Accuracy callbacks are user code of unknown thread safety: run
-    // them sequentially, in candidate order (also the documented
-    // invocation-order contract of CoOptimizer::optimize).
+    // them sequentially, in candidate order (the documented
+    // invocation-order contract of ExploreOptions::accuracy).
     if (options.accuracy)
         for (CoOptCandidate &cand : feasible)
             cand.accuracy = options.accuracy(cand.config);

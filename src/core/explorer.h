@@ -34,12 +34,76 @@
 #define SUPERBNN_CORE_EXPLORER_H
 
 #include <functional>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
-#include "core/cooptimizer.h"
+#include "aqfp/energy.h"
+#include "core/ame.h"
 #include "core/hardware_plan.h"
 
 namespace superbnn::core {
+
+/**
+ * The co-optimization search space and constraints.
+ *
+ * Axis values are enumerated exactly as given (outer-to-inner loop
+ * order: crossbarSizes, bitstreamLengths, grayZones), so candidate
+ * ordering — and therefore every ranking tie-break — is deterministic.
+ */
+struct CoOptSpace
+{
+    std::vector<std::size_t> crossbarSizes = {8, 16, 18, 36, 72};
+    std::vector<double> grayZones = {0.8, 1.6, 2.4, 3.2, 4.0};
+    std::vector<std::size_t> bitstreamLengths = {1, 2, 4, 8, 16, 32};
+    double frequencyGhz = 5.0;
+    /// Feasibility constraint: device efficiency must be at least this.
+    double minTopsPerWatt = 0.0;
+    /// Optional cap on total JJ budget (0 = unlimited).
+    std::size_t maxTotalJj = 0;
+
+    /**
+     * Validate the space, mirroring WorkloadSpec::validate(): every
+     * axis must be non-empty with no duplicate values, crossbar sizes
+     * and bitstream lengths must be >= 1, gray zones must be positive
+     * and finite, the frequency must be positive and finite, and
+     * minTopsPerWatt must be non-negative. Throws std::invalid_argument
+     * with a message naming the offending field.
+     */
+    void validate() const;
+};
+
+/** One evaluated candidate. */
+struct CoOptCandidate
+{
+    aqfp::AcceleratorConfig config;
+    /// Analytic energy prediction (always computed: feasibility filters
+    /// on it before any expensive evaluation runs).
+    aqfp::EnergyReport energy;
+    double ame = 0.0;
+    std::optional<double> accuracy; ///< set when a callback was used
+    /// Ledger-measured energy report (set when the explorer ran with
+    /// ExploreOptions::measure — see aqfp::EnergyModel::measureWorkload).
+    std::optional<aqfp::EnergyReport> measured;
+    /// Value of the cost function a ranking was produced under (filled
+    /// by DesignSpaceExplorer::ranked/best; 0 until then).
+    double cost = 0.0;
+};
+
+/** Callback measuring accuracy of one hardware configuration. */
+using AccuracyFn =
+    std::function<double(const aqfp::AcceleratorConfig &)>;
+
+/**
+ * Thrown when a CoOptSpace's constraints exclude every candidate and a
+ * single best was requested (DesignSpaceExplorer::best,
+ * exploreHeterogeneous). explore() instead returns an empty vector.
+ */
+class NoFeasibleCandidateError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /**
  * Cost of one evaluated candidate; LOWER IS BETTER. Cost functions
@@ -168,7 +232,7 @@ class DesignSpaceExplorer
     /**
      * Stage 1: the full candidate grid of @p space in deterministic
      * order (crossbarSizes outer, then bitstreamLengths, then
-     * grayZones — the facade's historical order). Validates the space.
+     * grayZones). Validates the space.
      */
     static std::vector<aqfp::AcceleratorConfig>
     gridConfigs(const CoOptSpace &space);

@@ -1,6 +1,7 @@
 #include "core/hardware_eval.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -605,6 +606,18 @@ HardwareEvaluator::injectVariationSeeded(double gray_zone_sigma,
                                          std::uint64_t master_seed,
                                          std::uint64_t chip_index)
 {
+    // Checked before any tile is touched, so a rejected call leaves the
+    // mapped model as it was.
+    if (!std::isfinite(gray_zone_sigma) || gray_zone_sigma < 0.0)
+        throw std::invalid_argument(
+            "HardwareEvaluator::injectVariationSeeded: gray_zone_sigma "
+            "must be finite and >= 0 (got "
+            + std::to_string(gray_zone_sigma) + ")");
+    if (!(stuck_cell_fraction >= 0.0 && stuck_cell_fraction <= 1.0))
+        throw std::invalid_argument(
+            "HardwareEvaluator::injectVariationSeeded: "
+            "stuck_cell_fraction must be in [0, 1] (got "
+            + std::to_string(stuck_cell_fraction) + ")");
     std::size_t stuck = 0;
     auto hit = [&](crossbar::MappedLayer &layer, std::size_t li) {
         for (std::size_t rt = 0; rt < layer.rowTiles; ++rt) {

@@ -268,6 +268,10 @@ class HardwareEvaluator
      * (mapped model, master_seed, chip_index), byte-identical at any
      * thread count and independent of every other chip. Returns the
      * number of stuck cells injected.
+     *
+     * @throws std::invalid_argument when @p gray_zone_sigma is negative
+     *         or non-finite, or @p stuck_cell_fraction is non-finite or
+     *         outside [0, 1]; nothing is mutated then
      */
     std::size_t injectVariationSeeded(double gray_zone_sigma,
                                       double stuck_cell_fraction,

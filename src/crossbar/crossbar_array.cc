@@ -126,50 +126,6 @@ CrossbarArray::columnCurrent(std::size_t col,
     return static_cast<double>(columnSum(col, activations)) * unitCurrent;
 }
 
-std::vector<int>
-CrossbarArray::evaluate(const std::vector<int> &activations, Rng &rng) const
-{
-    const std::vector<int> sums = columnSums(activations);
-    std::vector<int> out(size_);
-    for (std::size_t c = 0; c < size_; ++c)
-        out[c] = neurons[c].fire(
-            static_cast<double>(sums[c]) * unitCurrent, rng);
-    return out;
-}
-
-std::vector<sc::Bitstream>
-CrossbarArray::observe(const std::vector<int> &activations,
-                       std::size_t window, Rng &rng) const
-{
-    const std::vector<int> sums = columnSums(activations);
-    std::vector<sc::Bitstream> out;
-    out.reserve(size_);
-    for (std::size_t c = 0; c < size_; ++c)
-        out.push_back(neurons[c].observe(
-            static_cast<double>(sums[c]) * unitCurrent, window, rng));
-    return out;
-}
-
-std::vector<sc::BitstreamBatch>
-CrossbarArray::observeBatch(const std::vector<std::vector<int>> &batch,
-                            std::size_t window,
-                            std::vector<Rng> &rngs) const
-{
-    assert(rngs.size() == batch.size());
-    const std::size_t samples = batch.size();
-    const std::vector<int> sums = columnSumsBatch(batch);
-    std::vector<sc::BitstreamBatch> out;
-    out.reserve(size_);
-    std::vector<double> probs(samples);
-    for (std::size_t c = 0; c < size_; ++c) {
-        for (std::size_t b = 0; b < samples; ++b)
-            probs[b] = neurons[c].probOne(
-                static_cast<double>(sums[b * size_ + c]) * unitCurrent);
-        out.push_back(sc::BitstreamBatch::bernoulli(window, probs, rngs));
-    }
-    return out;
-}
-
 std::vector<sc::BitstreamBatch>
 CrossbarArray::observeBatchSeeded(
     const std::vector<std::vector<int>> &batch, std::size_t window,

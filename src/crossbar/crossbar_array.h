@@ -80,7 +80,7 @@ class CrossbarArray
      * All column sums in one row-major pass over the effective-weight
      * cache (+1/-1 programmed, 0 inactive), with each row's
      * contribution vectorized through the simd::KernelSet column-sum
-     * kernel; feeds evaluate/observe/columnProbabilities.
+     * kernel; feeds columnProbabilities.
      */
     std::vector<int> columnSums(const std::vector<int> &activations) const;
 
@@ -105,36 +105,14 @@ class CrossbarArray
     void addColumnSums(int *sums, const int *activations,
                        std::size_t rows) const;
 
-    /** One stochastic binarized readout of every column: +/-1 each. */
-    std::vector<int> evaluate(const std::vector<int> &activations,
-                              Rng &rng) const;
-
     /**
-     * Observe every column neuron for @p window cycles with the inputs
-     * held: returns one stochastic bitstream per column (Fig. 6a).
-     */
-    std::vector<sc::Bitstream>
-    observe(const std::vector<int> &activations, std::size_t window,
-            Rng &rng) const;
-
-    /**
-     * Batched observe: one BitstreamBatch per column, holding every
-     * sample's window-long stream side by side. Sample b's bits are
-     * drawn from rngs[b], in ascending column order — bit-identical to
-     * calling observe(batch[b], window, rngs[b]) per sample — so the
-     * batched executor stays exact w.r.t. the single-sample path.
-     * rngs.size() must equal batch.size().
-     */
-    std::vector<sc::BitstreamBatch>
-    observeBatch(const std::vector<std::vector<int>> &batch,
-                 std::size_t window, std::vector<Rng> &rngs) const;
-
-    /**
-     * observeBatch with one counter-stream *seed* per sample instead
-     * of live generators; the layout the tile executor's fused pass
-     * reproduces column by column (see TileExecutor). Sample b's columns
-     * are drawn from a single sc::detail::CounterStream seeded with
-     * seeds[b] and consumed column-major in one pass: column c's
+     * Observe every column neuron for @p window cycles with each
+     * sample's inputs held (Fig. 6a): one BitstreamBatch per column,
+     * holding every sample's window-long stream side by side — the
+     * layout the tile executor's fused pass reproduces column by
+     * column (see TileExecutor). Sample b's columns are drawn from a
+     * single sc::detail::CounterStream seeded with seeds[b] and
+     * consumed column-major in one pass: column c's
      * window-long stream occupies raw-draw positions [c * window,
      * (c+1) * window) of the counter space, regardless of the other
      * columns' probabilities. Eight bytes of state per (sample, tile)

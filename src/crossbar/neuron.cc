@@ -13,18 +13,4 @@ NeuronCircuit::probOne(double current_ua) const
     return model.probOne(current_ua);
 }
 
-int
-NeuronCircuit::fire(double current_ua, Rng &rng) const
-{
-    return model.sampleBipolar(current_ua, rng);
-}
-
-sc::Bitstream
-NeuronCircuit::observe(double current_ua, std::size_t window,
-                       Rng &rng) const
-{
-    return sc::Bitstream::bernoulli(window, model.probOne(current_ua),
-                                    rng);
-}
-
 } // namespace superbnn::crossbar

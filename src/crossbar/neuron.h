@@ -13,7 +13,6 @@
 #define SUPERBNN_CROSSBAR_NEURON_H
 
 #include "aqfp/grayzone.h"
-#include "sc/bitstream.h"
 
 namespace superbnn::crossbar {
 
@@ -29,16 +28,6 @@ class NeuronCircuit
 
     /** Probability of emitting '1' for a merged column current (uA). */
     double probOne(double current_ua) const;
-
-    /** One stochastic decision: +1 / -1. */
-    int fire(double current_ua, Rng &rng) const;
-
-    /**
-     * Observe the neuron for @p window cycles with the column input held:
-     * the free stochastic-number generator of Fig. 6a.
-     */
-    sc::Bitstream observe(double current_ua, std::size_t window,
-                          Rng &rng) const;
 
     double ithUa() const { return model.ith(); }
     void setIthUa(double ith_ua) { model.setIth(ith_ua); }

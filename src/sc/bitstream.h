@@ -119,10 +119,8 @@ void thresholdFill(std::uint64_t *words, std::size_t length,
  * Rng-seeded convenience overload: consumes exactly **one** raw draw
  * from @p rng as the seed of a fresh CounterStream (counter 0) and
  * fills from it; p <= 0 and p >= 1 write constant streams without
- * consuming the draw. The single word-generation routine shared by
- * Bitstream::bernoulli and BitstreamBatch::bernoulli, so the two
- * produce bit-identical streams from equal RNG states (the batched
- * executor's exactness guarantee leans on this).
+ * consuming the draw. The word-generation routine behind
+ * Bitstream::bernoulli.
  */
 void bernoulliFill(std::uint64_t *words, std::size_t length, double p,
                    Rng &rng);

@@ -13,20 +13,6 @@ BitstreamBatch::BitstreamBatch(std::size_t batch, std::size_t length)
 {
 }
 
-BitstreamBatch
-BitstreamBatch::bernoulli(std::size_t length,
-                          const std::vector<double> &probs,
-                          std::vector<Rng> &rngs)
-{
-    if (probs.size() != rngs.size())
-        throw std::invalid_argument(
-            "BitstreamBatch::bernoulli: probs/rngs size mismatch");
-    BitstreamBatch out(probs.size(), length);
-    for (std::size_t b = 0; b < out.batch_; ++b)
-        detail::bernoulliFill(out.words(b), length, probs[b], rngs[b]);
-    return out;
-}
-
 Bitstream
 BitstreamBatch::stream(std::size_t b) const
 {

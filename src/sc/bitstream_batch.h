@@ -9,9 +9,8 @@
  * (b + 1) * wordsPerStream()). Every per-sample segment obeys the
  * Bitstream storage invariants (64 bits per word, LSB-first, zero tail
  * bits), so accumulation can borrow StreamView windows into the batch
- * without copying, and a segment generated by bernoulli() is
- * bit-identical to what Bitstream::bernoulli would produce from the
- * same RNG state — the bit-exactness contract of the batched executor.
+ * without copying, and detail::bernoulliFill can write a segment in
+ * place.
  */
 
 #ifndef SUPERBNN_SC_BITSTREAM_BATCH_H
@@ -36,18 +35,6 @@ class BitstreamBatch
 
     /** All-zero batch of @p batch streams, @p length bits each. */
     BitstreamBatch(std::size_t batch, std::size_t length);
-
-    /**
-     * Generate one i.i.d. Bernoulli stream per sample: sample b's
-     * stream has ones-probability probs[b] and is drawn from rngs[b]
-     * (one raw draw seeds the sample's counter-based stream; none is
-     * consumed for constant probabilities). Bit-identical to
-     * Bitstream::bernoulli(length, probs[b], rngs[b]) per sample.
-     * Throws std::invalid_argument when probs and rngs sizes differ.
-     */
-    static BitstreamBatch bernoulli(std::size_t length,
-                                    const std::vector<double> &probs,
-                                    std::vector<Rng> &rngs);
 
     /** Number of streams (samples) in the batch. */
     std::size_t batch() const { return batch_; }

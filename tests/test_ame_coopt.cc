@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the average-mismatch-error analysis (Eq. 18) and the
- * hardware-configuration co-optimizer (Section 5.4).
+ * hardware-configuration co-optimization (Section 5.4) through
+ * DesignSpaceExplorer.
  */
 
 #include <cmath>
@@ -9,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ame.h"
-#include "core/cooptimizer.h"
+#include "core/explorer.h"
 
 using namespace superbnn;
 using namespace superbnn::core;
@@ -96,21 +97,21 @@ INSTANTIATE_TEST_SUITE_P(GrayZones, AmeGrayZoneSweep,
 
 TEST(CoOpt, EnumerateRespectsConstraint)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes = {8, 16, 36};
     space.grayZones = {2.4};
     space.bitstreamLengths = {1, 8, 32};
     space.minTopsPerWatt = 0.0;
     const auto all =
-        opt.enumerate(aqfp::workloads::mnistMlp(), space);
+        explorer.explore(aqfp::workloads::mnistMlp(), space);
     EXPECT_EQ(all.size(), 9u);
 
     // Tighten the constraint: candidates must shrink and all satisfy it.
     double median = all[all.size() / 2].energy.topsPerWatt;
     space.minTopsPerWatt = median;
     const auto feasible =
-        opt.enumerate(aqfp::workloads::mnistMlp(), space);
+        explorer.explore(aqfp::workloads::mnistMlp(), space);
     EXPECT_LT(feasible.size(), all.size());
     for (const auto &c : feasible)
         EXPECT_GE(c.energy.topsPerWatt, median);
@@ -118,67 +119,55 @@ TEST(CoOpt, EnumerateRespectsConstraint)
 
 TEST(CoOpt, BestByAmeIsFeasibleMinimum)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes = {8, 16, 36, 72};
     space.grayZones = {0.8, 2.4, 4.0};
     space.bitstreamLengths = {4};
-    const auto best =
-        opt.bestByAme(aqfp::workloads::mnistMlp(), space);
-    for (const auto &c :
-         opt.enumerate(aqfp::workloads::mnistMlp(), space))
+    const auto cands =
+        explorer.explore(aqfp::workloads::mnistMlp(), space);
+    const auto best = DesignSpaceExplorer::best(cands, costs::ame());
+    for (const auto &c : cands)
         EXPECT_LE(best.ame, c.ame + 1e-15);
 }
 
 TEST(CoOpt, OptimizeUsesCallback)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes = {8, 16};
     space.grayZones = {2.4};
     space.bitstreamLengths = {1, 16};
     // Fake accuracy: prefers Cs=16, L=16.
-    const auto best = opt.optimize(
-        aqfp::workloads::mnistMlp(), space,
-        [](const aqfp::AcceleratorConfig &c) {
-            return (c.crossbarSize == 16 ? 0.5 : 0.0)
-                + (c.bitstreamLength == 16 ? 0.4 : 0.0);
-        });
+    ExploreOptions options;
+    options.accuracy = [](const aqfp::AcceleratorConfig &c) {
+        return (c.crossbarSize == 16 ? 0.5 : 0.0)
+            + (c.bitstreamLength == 16 ? 0.4 : 0.0);
+    };
+    const auto best = DesignSpaceExplorer::best(
+        explorer.explore(aqfp::workloads::mnistMlp(), space, options),
+        costs::accuracyLoss());
     EXPECT_EQ(best.config.crossbarSize, 16u);
     EXPECT_EQ(best.config.bitstreamLength, 16u);
     ASSERT_TRUE(best.accuracy.has_value());
     EXPECT_NEAR(*best.accuracy, 0.9, 1e-12);
 }
 
-TEST(CoOpt, AccuracyTieBrokenByEfficiency)
-{
-    const CoOptimizer opt(atten());
-    CoOptSpace space;
-    space.crossbarSizes = {16};
-    space.grayZones = {2.4};
-    space.bitstreamLengths = {4, 32};
-    const auto best = opt.optimize(
-        aqfp::workloads::mnistMlp(), space,
-        [](const aqfp::AcceleratorConfig &) { return 0.5; });
-    // Equal accuracy: the shorter window (higher efficiency) must win.
-    EXPECT_EQ(best.config.bitstreamLength, 4u);
-}
-
 TEST(CoOpt, JjBudgetFiltersLargeConfigs)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes = {8, 144};
     space.grayZones = {2.4};
     space.bitstreamLengths = {1};
     const auto unbounded =
-        opt.enumerate(aqfp::workloads::mnistMlp(), space);
+        explorer.explore(aqfp::workloads::mnistMlp(), space);
     ASSERT_EQ(unbounded.size(), 2u);
     const std::size_t small_jj =
         std::min(unbounded[0].energy.totalJj,
                  unbounded[1].energy.totalJj);
     space.maxTotalJj = small_jj + 1;
     const auto bounded =
-        opt.enumerate(aqfp::workloads::mnistMlp(), space);
+        explorer.explore(aqfp::workloads::mnistMlp(), space);
     EXPECT_EQ(bounded.size(), 1u);
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "crossbar/crossbar_array.h"
@@ -92,16 +93,23 @@ TEST(CrossbarArrayTest, LargerArrayHasSmallerUnitCurrent)
     EXPECT_GT(small.unitCurrentUa(), big.unitCurrentUa());
 }
 
+TEST(CrossbarArrayTest, RejectsBadGrayZoneWidth)
+{
+    EXPECT_THROW(CrossbarArray(4, atten(), 0.0), std::invalid_argument);
+    EXPECT_THROW(CrossbarArray(4, atten(), -1.0), std::invalid_argument);
+    EXPECT_THROW(CrossbarArray(4, atten(), std::nan("")),
+                 std::invalid_argument);
+}
+
 TEST(CrossbarArrayTest, DeterministicSignWithTinyGrayZone)
 {
-    Rng rng(1);
     CrossbarArray xbar(4, atten(), kTinyGrayZone);
     std::vector<std::vector<int>> w = {
         {1, -1}, {1, -1}, {1, 1}, {1, 1}};
     xbar.programWeights(w);
-    const auto out = xbar.evaluate({1, 1, 1, 1}, rng);
-    EXPECT_EQ(out[0], 1);   // column sum +4
-    EXPECT_EQ(out[1], 1);   // column sum 0 -> P=0.5 boundary, sign(0)=+1
+    const auto probs = xbar.columnProbabilities({1, 1, 1, 1});
+    EXPECT_EQ(probs[0], 1.0); // column sum +4: always fires '1'
+    EXPECT_EQ(probs[1], 0.5); // column sum 0: exactly at the threshold
 }
 
 TEST(CrossbarArrayTest, ThresholdValueScalesByUnitCurrent)
@@ -109,12 +117,11 @@ TEST(CrossbarArrayTest, ThresholdValueScalesByUnitCurrent)
     CrossbarArray xbar(4, atten(), kTinyGrayZone);
     std::vector<std::vector<int>> w = {{1}, {1}, {1}, {1}};
     xbar.programWeights(w);
-    Rng rng(2);
     // Sum is +4; threshold of 5 units pushes the decision negative.
     xbar.setColumnThresholdValue(0, 5.0);
-    EXPECT_EQ(xbar.evaluate({1, 1, 1, 1}, rng)[0], -1);
+    EXPECT_EQ(xbar.columnProbabilities({1, 1, 1, 1})[0], 0.0);
     xbar.setColumnThresholdValue(0, 3.0);
-    EXPECT_EQ(xbar.evaluate({1, 1, 1, 1}, rng)[0], 1);
+    EXPECT_EQ(xbar.columnProbabilities({1, 1, 1, 1})[0], 1.0);
 }
 
 TEST(CrossbarArrayTest, ProbabilitiesMatchGrayZoneModel)
@@ -131,12 +138,14 @@ TEST(CrossbarArrayTest, ProbabilitiesMatchGrayZoneModel)
 
 TEST(CrossbarArrayTest, ObserveWindowLength)
 {
-    Rng rng(3);
     CrossbarArray xbar(4, atten(), 2.4);
-    const auto streams = xbar.observe({1, 1, 1, 1}, 13, rng);
+    const auto streams =
+        xbar.observeBatchSeeded({{1, 1, 1, 1}, {1, -1, 1, -1}}, 13, {3, 4});
     ASSERT_EQ(streams.size(), 4u);
-    for (const auto &s : streams)
+    for (const auto &s : streams) {
+        EXPECT_EQ(s.batch(), 2u);
         EXPECT_EQ(s.length(), 13u);
+    }
 }
 
 // --- mapper ---

@@ -15,7 +15,6 @@
 
 #include <stdexcept>
 
-#include "core/cooptimizer.h"
 #include "core/explorer.h"
 #include "crossbar/model_cache.h"
 #include "crossbar/tile_executor.h"
@@ -148,10 +147,10 @@ TEST(CoOptSpaceValidate, BadScalarsThrow)
 
 TEST(CoOptSpaceValidate, EnumerateValidatesTheSpace)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space;
     space.crossbarSizes.clear();
-    EXPECT_THROW(opt.enumerate(aqfp::workloads::mnistMlp(), space),
+    EXPECT_THROW(explorer.explore(aqfp::workloads::mnistMlp(), space),
                  std::invalid_argument);
 }
 
@@ -159,40 +158,40 @@ TEST(CoOptSpaceValidate, EnumerateValidatesTheSpace)
 
 TEST(EmptyFeasibleSet, EnumerateReturnsEmptyWithoutThrowing)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space = tailSpace();
     space.minTopsPerWatt = 1e30; // excludes everything
-    EXPECT_TRUE(opt.enumerate(tailWorkload(), space).empty());
+    EXPECT_TRUE(explorer.explore(tailWorkload(), space).empty());
 }
 
 TEST(EmptyFeasibleSet, BestByAmeThrowsDocumentedException)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space = tailSpace();
     space.minTopsPerWatt = 1e30;
-    EXPECT_THROW(opt.bestByAme(tailWorkload(), space),
+    const auto cands = explorer.explore(tailWorkload(), space);
+    EXPECT_THROW(DesignSpaceExplorer::best(cands, costs::ame()),
                  NoFeasibleCandidateError);
-    // ...which is a runtime_error, so legacy catch sites still work.
-    EXPECT_THROW(opt.bestByAme(tailWorkload(), space),
+    // ...which is a runtime_error, so generic catch sites still work.
+    EXPECT_THROW(DesignSpaceExplorer::best(cands, costs::ame()),
                  std::runtime_error);
-    EXPECT_FALSE(opt.tryBestByAme(tailWorkload(), space).has_value());
 }
 
 TEST(EmptyFeasibleSet, OptimizeThrowsAndNeverInvokesCallback)
 {
-    const CoOptimizer opt(atten());
+    const DesignSpaceExplorer explorer(atten());
     CoOptSpace space = tailSpace();
     space.maxTotalJj = 1; // nothing fits one junction
     int calls = 0;
-    const AccuracyFn count_calls =
-        [&](const aqfp::AcceleratorConfig &) {
-            ++calls;
-            return 1.0;
-        };
-    EXPECT_THROW(opt.optimize(tailWorkload(), space, count_calls),
+    ExploreOptions options;
+    options.accuracy = [&](const aqfp::AcceleratorConfig &) {
+        ++calls;
+        return 1.0;
+    };
+    const auto cands = explorer.explore(tailWorkload(), space, options);
+    EXPECT_TRUE(cands.empty());
+    EXPECT_THROW(DesignSpaceExplorer::best(cands, costs::accuracyLoss()),
                  NoFeasibleCandidateError);
-    EXPECT_FALSE(
-        opt.tryOptimize(tailWorkload(), space, count_calls).has_value());
     EXPECT_EQ(calls, 0);
 }
 
@@ -274,9 +273,9 @@ TEST(CostFns, ParetoFrontDropsDominatedCandidates)
     EXPECT_DOUBLE_EQ(front[2].energy.totalEnergyAj, 4.0);
 }
 
-// --- facade / explorer agreement ------------------------------------------
+// --- explorer / model agreement -------------------------------------------
 
-TEST(Explorer, ExploreMatchesFacadeEnumerate)
+TEST(Explorer, ExploreMatchesDirectModelEvaluation)
 {
     CoOptSpace space;
     space.crossbarSizes = {8, 16};
@@ -284,12 +283,24 @@ TEST(Explorer, ExploreMatchesFacadeEnumerate)
     space.bitstreamLengths = {4};
     const aqfp::WorkloadSpec workload = aqfp::workloads::mnistMlp();
 
-    const CoOptimizer opt(atten());
-    const auto facade = opt.enumerate(workload, space);
+    // Every candidate carries exactly the analytic report and AME the
+    // underlying models give for its grid point.
+    const aqfp::EnergyModel energy;
+    const AmeAnalyzer analyzer(atten());
+    std::vector<CoOptCandidate> direct;
+    for (const aqfp::AcceleratorConfig &config :
+         DesignSpaceExplorer::gridConfigs(space)) {
+        CoOptCandidate cand;
+        cand.config = config;
+        cand.energy = energy.evaluate(workload, config);
+        cand.ame = analyzer.ame(static_cast<double>(config.crossbarSize),
+                                config.deltaIinUa);
+        direct.push_back(cand);
+    }
 
     const DesignSpaceExplorer explorer(atten());
     const auto explored = explorer.explore(workload, space);
-    expectBitIdentical(facade, explored);
+    expectBitIdentical(direct, explored);
     EXPECT_EQ(explored.size(), 4u);
 }
 

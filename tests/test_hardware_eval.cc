@@ -232,6 +232,50 @@ TEST(HardwareEvalInputCheck, WrongSizeMlpSampleThrows)
     EXPECT_EQ(eval.imagesObserved(), 0u); // nothing was evaluated
 }
 
+TEST(HardwareEvalInputCheck, BadVariationArgumentsThrowBeforeMutating)
+{
+    Rng rng(19);
+    const aqfp::AttenuationModel atten;
+    const RandomizedMlp mlp(32, {16}, 4, AqfpBehavior{8, 2.4, 0.0}, atten,
+                            rng);
+    HardwareEvaluator eval(atten, {8, 16, 2.4, false, 0.25, 1, 8});
+    eval.mapMlp(mlp);
+    std::vector<Tensor> batch;
+    for (int i = 0; i < 4; ++i)
+        batch.push_back(Tensor::randn({1, 32}, rng));
+    const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
+    const auto before = eval.classScoresSeeded(batch, seeds);
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double sigma : {-0.1, nan, inf}) {
+        try {
+            eval.injectVariationSeeded(sigma, 0.0, 5, 0);
+            ADD_FAILURE() << "gray_zone_sigma " << sigma << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::strstr(e.what(), "gray_zone_sigma"), nullptr)
+                << e.what();
+        }
+    }
+    for (const double fraction : {-0.1, 1.5, nan, inf}) {
+        try {
+            // A valid sigma alongside: the check precedes every tile.
+            eval.injectVariationSeeded(0.2, fraction, 5, 0);
+            ADD_FAILURE() << "stuck_cell_fraction " << fraction
+                          << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::strstr(e.what(), "stuck_cell_fraction"),
+                      nullptr)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(eval.classScoresSeeded(batch, seeds), before);
+
+    // The comparison can see a mutation: a valid injection moves it.
+    eval.injectVariationSeeded(0.5, 0.3, 5, 0);
+    EXPECT_NE(eval.classScoresSeeded(batch, seeds), before);
+}
+
 TEST(HardwareEvalInputCheck, WrongSizeCnnSampleThrows)
 {
     Rng rng(16);

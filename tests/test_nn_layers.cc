@@ -11,8 +11,7 @@
 
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
-#include "nn/conv.h"
-#include "nn/linear.h"
+#include "nn/binary_linear.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/pooling.h"
@@ -86,73 +85,6 @@ checkParamGradient(Module &m, Parameter &p, const Tensor &input,
 }
 
 } // namespace
-
-TEST(Linear, ForwardKnownValues)
-{
-    Rng rng(1);
-    Linear lin(2, 2, rng, true);
-    lin.weight().value = Tensor::fromVector({1, 2, 3, 4}).reshaped({2, 2});
-    lin.bias().value = Tensor::fromVector({10, 20});
-    Tensor x = Tensor::fromVector({1, 1}).reshaped({1, 2});
-    Tensor y = lin.forward(x, false);
-    EXPECT_FLOAT_EQ(y.at(0, 0), 13.0f); // 1*1+1*2+10
-    EXPECT_FLOAT_EQ(y.at(0, 1), 27.0f); // 1*3+1*4+20
-}
-
-TEST(Linear, InputGradient)
-{
-    Rng rng(2);
-    Linear lin(5, 3, rng, true);
-    Tensor x = Tensor::randn({4, 5}, rng);
-    checkInputGradient(lin, x);
-}
-
-TEST(Linear, WeightGradient)
-{
-    Rng rng(3);
-    Linear lin(4, 3, rng, true);
-    Tensor x = Tensor::randn({3, 4}, rng);
-    checkParamGradient(lin, lin.weight(), x);
-}
-
-TEST(Linear, BiasGradient)
-{
-    Rng rng(4);
-    Linear lin(4, 3, rng, true);
-    Tensor x = Tensor::randn({3, 4}, rng);
-    checkParamGradient(lin, lin.bias(), x);
-}
-
-TEST(Linear, NoBiasHasOneParameter)
-{
-    Rng rng(5);
-    Linear lin(4, 3, rng, false);
-    EXPECT_EQ(lin.parameters().size(), 1u);
-}
-
-TEST(Conv2d, InputGradient)
-{
-    Rng rng(6);
-    Conv2d conv(2, 3, 3, 1, 1, rng, true);
-    Tensor x = Tensor::randn({2, 2, 5, 5}, rng);
-    checkInputGradient(conv, x);
-}
-
-TEST(Conv2d, WeightGradient)
-{
-    Rng rng(7);
-    Conv2d conv(2, 2, 3, 1, 1, rng, true);
-    Tensor x = Tensor::randn({1, 2, 4, 4}, rng);
-    checkParamGradient(conv, conv.weight(), x);
-}
-
-TEST(Conv2d, BiasGradient)
-{
-    Rng rng(8);
-    Conv2d conv(1, 2, 3, 1, 0, rng, true);
-    Tensor x = Tensor::randn({2, 1, 5, 5}, rng);
-    checkParamGradient(conv, conv.bias(), x);
-}
 
 TEST(BatchNorm, NormalizesBatchStatistics)
 {
@@ -307,9 +239,9 @@ TEST(SequentialContainer, ComposesAndCollectsParams)
 {
     Rng rng(15);
     Sequential net;
-    net.emplace<Linear>(4, 8, rng);
+    net.emplace<BinaryLinear>(4, 8, rng);
     net.emplace<ReLU>();
-    net.emplace<Linear>(8, 2, rng);
+    net.emplace<BinaryLinear>(8, 2, rng);
     EXPECT_EQ(net.size(), 3u);
     EXPECT_EQ(net.parameters().size(), 4u);
     Tensor x = Tensor::randn({3, 4}, rng);

@@ -1,18 +1,18 @@
 /**
  * @file
  * Tests for the stochastic computing library: bitstream encodings, the
- * AQFP stochastic-number source, parallel counters and the SC-based
- * accumulation module.
+ * AQFP neuron as a stochastic-number source, parallel counters and the
+ * SC-based accumulation module.
  */
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "aqfp/grayzone.h"
 #include "sc/accumulation.h"
 #include "sc/apc.h"
 #include "sc/bitstream.h"
-#include "sc/sng.h"
 
 using namespace superbnn;
 using namespace superbnn::sc;
@@ -83,25 +83,22 @@ TEST(Bitstream, ToStringRoundTrip)
 TEST(Sng, ObservationWindowEncodesProbability)
 {
     // Fig. 6a: holding the input steady for L cycles yields an SN whose
-    // density is the buffer's switching probability.
-    aqfp::GrayZoneModel model(2.4, 0.0);
-    AqfpStochasticSource src(model, 20000);
-    Rng rng(4);
+    // density is the buffer's switching probability. The window is one
+    // counter-stream fill at the neuron's probability, as the tile
+    // executor draws each column.
+    const aqfp::GrayZoneModel model(2.4, 0.0);
+    const std::size_t window = 20000;
+    std::uint64_t seed = 4;
     for (double iin : {-1.0, 0.0, 0.5, 1.5}) {
-        const Bitstream s = src.observe(iin, rng);
+        std::vector<std::uint64_t> words(detail::wordsForLength(window));
+        detail::CounterStream stream{seed++, 0};
+        detail::bernoulliFill(words.data(), window, model.probOne(iin),
+                              stream);
+        const Bitstream s = Bitstream::fromWords(words, window);
         EXPECT_NEAR(s.decode(Encoding::Unipolar), model.probOne(iin),
                     0.02)
             << "Iin=" << iin;
-        EXPECT_NEAR(src.expectedValue(iin),
-                    2.0 * model.probOne(iin) - 1.0, 1e-12);
     }
-}
-
-TEST(Sng, WindowLengthRespected)
-{
-    AqfpStochasticSource src(aqfp::GrayZoneModel(2.4, 0.0), 17);
-    Rng rng(5);
-    EXPECT_EQ(src.observe(0.0, rng).length(), 17u);
 }
 
 // --- parallel counters ---

@@ -341,14 +341,14 @@ TEST(SimdStreams, BatchTailWordMaskingPerArm)
             for (const simd::Arm arm : simd::availableArms()) {
                 ASSERT_TRUE(simd::setActiveArm(arm));
                 std::vector<double> probs(batch_size);
-                std::vector<Rng> rngs;
+                sc::BitstreamBatch batch(batch_size, length);
                 for (std::size_t b = 0; b < batch_size; ++b) {
                     probs[b] = (static_cast<double>(b) + 0.5)
                         / static_cast<double>(batch_size + 1);
-                    rngs.emplace_back(1000 * length + b);
+                    Rng rng(1000 * length + b);
+                    sc::detail::bernoulliFill(batch.words(b), length,
+                                              probs[b], rng);
                 }
-                const sc::BitstreamBatch batch =
-                    sc::BitstreamBatch::bernoulli(length, probs, rngs);
                 ASSERT_EQ(batch.batch(), batch_size);
                 const std::uint64_t mask = tailMaskFor(length);
                 for (std::size_t b = 0; b < batch_size; ++b) {

@@ -281,13 +281,15 @@ TEST(BitstreamBatchTest, BernoulliMatchesPerSampleBitstream)
 {
     const std::size_t window = 131; // multi-word with masked tail
     const std::vector<double> probs = {0.0, 0.31, 0.5, 0.77, 1.0};
-    std::vector<Rng> batch_rngs;
-    for (std::size_t b = 0; b < probs.size(); ++b)
-        batch_rngs.emplace_back(1000 + b);
-    const auto batch =
-        sc::BitstreamBatch::bernoulli(window, probs, batch_rngs);
+    sc::BitstreamBatch batch(probs.size(), window);
     ASSERT_EQ(batch.batch(), probs.size());
     EXPECT_EQ(batch.length(), window);
+    // A segment filled in place is the stream Bitstream::bernoulli
+    // draws from the same generator state.
+    for (std::size_t b = 0; b < probs.size(); ++b) {
+        Rng rng(1000 + b);
+        sc::detail::bernoulliFill(batch.words(b), window, probs[b], rng);
+    }
 
     for (std::size_t b = 0; b < probs.size(); ++b) {
         Rng solo(1000 + b);
@@ -314,15 +316,6 @@ TEST(BitstreamBatchTest, AssignRoundTripsAndChecksLength)
     EXPECT_THROW(batch.assign(0, wrong), std::invalid_argument);
 }
 
-TEST(BitstreamBatchTest, BernoulliRejectsMismatchedRngs)
-{
-    std::vector<Rng> rngs;
-    rngs.emplace_back(1);
-    EXPECT_THROW(
-        sc::BitstreamBatch::bernoulli(16, {0.5, 0.5}, rngs),
-        std::invalid_argument);
-}
-
 // --- batched crossbar observe ---
 
 TEST(CrossbarBatchTest, ColumnSumsBatchMatchesPerSample)
@@ -341,33 +334,6 @@ TEST(CrossbarBatchTest, ColumnSumsBatchMatchesPerSample)
         const std::vector<int> one = xbar.columnSums(batch[b]);
         for (std::size_t c = 0; c < 6; ++c)
             EXPECT_EQ(flat[b * 6 + c], one[c]) << b << "," << c;
-    }
-}
-
-TEST(CrossbarBatchTest, ObserveBatchMatchesPerSampleObserve)
-{
-    Rng rng(22);
-    CrossbarArray xbar(5, atten(), 2.4);
-    for (std::size_t r = 0; r < 5; ++r)
-        for (std::size_t c = 0; c < 5; ++c)
-            xbar.programCell(r, c, rng.bernoulli(0.5) ? 1 : -1);
-    const std::size_t window = 33;
-    std::vector<std::vector<int>> batch;
-    for (int b = 0; b < 3; ++b)
-        batch.push_back(randomActs(5, rng));
-
-    std::vector<Rng> batch_rngs;
-    for (std::size_t b = 0; b < batch.size(); ++b)
-        batch_rngs.emplace_back(500 + b);
-    const auto observed = xbar.observeBatch(batch, window, batch_rngs);
-    ASSERT_EQ(observed.size(), 5u);
-
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-        Rng solo(500 + b);
-        const auto ref = xbar.observe(batch[b], window, solo);
-        for (std::size_t c = 0; c < 5; ++c)
-            EXPECT_EQ(observed[c].stream(b).words(), ref[c].words())
-                << "sample " << b << " column " << c;
     }
 }
 

@@ -36,8 +36,9 @@ main()
     // Rank by AME, then short-list the best candidate of *each*
     // crossbar size: AME alone under-weights the training dynamics, so
     // the measured pass must compare across sizes (this mirrors the
-    // paper's Fig. 11 grid search).
-    std::sort(candidates.begin(), candidates.end(),
+    // paper's Fig. 11 grid search). AME ignores L, so the sort is
+    // stable: ties keep the explorer's grid order.
+    std::stable_sort(candidates.begin(), candidates.end(),
               [](const auto &a, const auto &b) { return a.ame < b.ame; });
     std::vector<CoOptCandidate> pruned;
     for (const auto &c : candidates) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "simd/kernels.h"
 
@@ -186,7 +189,10 @@ CrossbarArray::neuron(std::size_t col) const
 void
 CrossbarArray::applyGrayZoneVariation(double sigma, Rng &rng)
 {
-    assert(sigma >= 0.0);
+    if (!std::isfinite(sigma) || sigma < 0.0)
+        throw std::invalid_argument(
+            "CrossbarArray::applyGrayZoneVariation: sigma must be finite "
+            "and >= 0 (got " + std::to_string(sigma) + ")");
     for (auto &n : neurons) {
         const double base = n.deltaIinUa();
         const double factor =
@@ -199,7 +205,10 @@ CrossbarArray::applyGrayZoneVariation(double sigma, Rng &rng)
 std::size_t
 CrossbarArray::injectStuckCellsSeeded(double fraction, std::uint64_t seed)
 {
-    assert(fraction >= 0.0 && fraction <= 1.0);
+    if (!(fraction >= 0.0 && fraction <= 1.0))
+        throw std::invalid_argument(
+            "CrossbarArray::injectStuckCellsSeeded: fraction must be in "
+            "[0, 1] (got " + std::to_string(fraction) + ")");
     if (fraction <= 0.0)
         return 0;
     const std::size_t n = cells.size();

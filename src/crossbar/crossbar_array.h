@@ -145,6 +145,8 @@ class CrossbarArray
      * gray-zone width by a log-normal-ish factor (1 + sigma * N(0,1),
      * clamped positive). Models the junction-critical-current spread of
      * the niobium process.
+     * @throws std::invalid_argument when @p sigma is negative or not
+     *         finite, before any neuron changes
      */
     void applyGrayZoneVariation(double sigma, Rng &rng);
 
@@ -160,6 +162,8 @@ class CrossbarArray
      * the mask at a higher fraction is a superset of the mask at a
      * lower one for the same seed (nested faults). Returns the number
      * of active cells actually knocked out.
+     * @throws std::invalid_argument when @p fraction is NaN or outside
+     *         [0, 1], before any cell changes
      */
     std::size_t injectStuckCellsSeeded(double fraction,
                                        std::uint64_t seed);

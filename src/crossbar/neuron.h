@@ -35,6 +35,14 @@ class NeuronCircuit
 
     const aqfp::GrayZoneModel &grayZone() const { return model; }
 
+    /// Exact equality of every parameter probOne reads (a new neuron
+    /// parameter joins here): the tile executor's memo key.
+    bool operator==(const NeuronCircuit &other) const
+    {
+        return ithUa() == other.ithUa()
+            && deltaIinUa() == other.deltaIinUa();
+    }
+
   private:
     aqfp::GrayZoneModel model;
 };

@@ -193,6 +193,20 @@ constexpr std::size_t kBlockWords = 4096;
 /// yet; thresholdFor never returns it (see sc::detail::kOnesThreshold).
 constexpr std::uint64_t kUnset = sc::detail::kOnesThreshold - 1;
 
+/// Whether columns [0, cols) of tiles a and b have the same threshold at
+/// every sum: thresholdFor(probOne(sum * unit)) reads nothing else.
+bool
+sameThresholds(const CrossbarArray &a, const CrossbarArray &b,
+               std::size_t cols)
+{
+    if (a.unitCurrentUa() != b.unitCurrentUa())
+        return false;
+    for (std::size_t c = 0; c < cols; ++c)
+        if (!(a.neuron(c) == b.neuron(c)))
+            return false;
+    return true;
+}
+
 /**
  * Samples per task. A pool gets about four tasks per thread across the
  * column groups, so a layer with one column group and thousands of
@@ -247,24 +261,21 @@ TileExecutor::forwardFused(const MappedLayer &layer, const InputView &in,
             std::min(last - first, std::max<std::size_t>(
                                        1, kBlockWords / perSample));
         // One word buffer holds the streams of one block of samples,
-        // [sample][column][rowTile] so each merge reads its row tiles'
-        // words contiguously; then the current row tile's thresholds by
-        // (column, sum + cs), filled on first use; then the slots filled
-        // so far, so the next row tile resets only those. Conv patches
-        // repeat a pair ~90% of the time, MLP layers 35-40%, one-sample
-        // blocks never (BENCH_16.json "memo").
+        // [sample][column][rowTile] so each merge counts its row tiles'
+        // words as one contiguous run; then the thresholds by
+        // (column, sum + cs), filled on first use. The memo is kept
+        // across row tiles and sample blocks while the tile's column
+        // neurons and unit current equal those it was filled from
+        // (setThresholds gives every row tile of a column the same
+        // neuron), and reset when they differ (gray-zone variation).
         const std::size_t memoSize = cols * span;
-        std::vector<std::uint64_t> scratch(
-            block * perSample + memoSize + std::min(memoSize, block * cols));
+        std::vector<std::uint64_t> scratch(block * perSample + memoSize);
         std::uint64_t *const streams = scratch.data();
         std::uint64_t *const memo = streams + block * perSample;
-        std::uint64_t *const touched = memo + memoSize;
-        std::fill(memo, touched, kUnset);
-        std::size_t filled = 0;
+        const CrossbarArray *memoTile = nullptr;
         std::vector<int> sums(cs);
         // The block's gathered patches; direct rows are read in place.
         std::vector<int> gathered(in.patches ? block * fanIn : 0);
-        std::vector<sc::StreamView> column(rowTiles);
         for (std::size_t b0 = first; b0 < last; b0 += block) {
             const std::size_t b1 = std::min(last, b0 + block);
             for (std::size_t b = b0; in.patches && b < b1; ++b) {
@@ -279,9 +290,9 @@ TileExecutor::forwardFused(const MappedLayer &layer, const InputView &in,
             for (std::size_t rt = 0; rt < rowTiles; ++rt) {
                 const CrossbarArray &tile = layer.tile(rt, ct);
                 const std::size_t r0 = rt * cs;
-                for (std::size_t i = 0; i < filled; ++i)
-                    memo[touched[i]] = kUnset;
-                filled = 0;
+                if (!memoTile || !sameThresholds(*memoTile, tile, cols))
+                    std::fill(memo, memo + memoSize, kUnset);
+                memoTile = &tile;
                 for (std::size_t b = b0; b < b1; ++b) {
                     const int *row = in.patches
                         ? gathered.data() + (b - b0) * fanIn
@@ -296,13 +307,11 @@ TileExecutor::forwardFused(const MappedLayer &layer, const InputView &in,
                         const std::size_t slot =
                             c * span + static_cast<std::size_t>(
                                 sums[c] + static_cast<int>(cs));
-                        if (memo[slot] == kUnset) {
+                        if (memo[slot] == kUnset)
                             memo[slot] = sc::detail::thresholdFor(
                                 tile.neuron(c).probOne(
                                     static_cast<double>(sums[c])
                                     * tile.unitCurrentUa()));
-                            touched[filled++] = slot;
-                        }
                         // Column c's window sits at counter c * L of
                         // the tile stream, as in observeBatchSeeded.
                         sc::detail::thresholdFill(
@@ -315,15 +324,10 @@ TileExecutor::forwardFused(const MappedLayer &layer, const InputView &in,
                 const std::size_t image = b / in.positions;
                 const std::size_t at = image * layer.fanOut * in.positions
                     + (b - image * in.positions);
-                for (std::size_t c = 0; c < cols; ++c) {
-                    const std::uint64_t *src = streams
-                        + (b - b0) * perSample + c * rowTiles * words;
-                    for (std::size_t rt = 0; rt < rowTiles; ++rt)
-                        column[rt] =
-                            sc::StreamView{src + rt * words, window_};
+                const std::uint64_t *src = streams + (b - b0) * perSample;
+                for (std::size_t c = 0; c < cols; ++c, src += rowTiles * words)
                     emit(accum, c0 + c, at + (c0 + c) * in.positions,
-                         column);
-                }
+                         accum.rawCount(src));
             }
         }
     };
@@ -346,9 +350,8 @@ TileExecutor::forward(const MappedLayer &layer, const InputView &in,
 {
     forwardFused(layer, in, roots, ledger,
                  [&](const sc::AccumulationModule &accum, std::size_t col,
-                     std::size_t at,
-                     const std::vector<sc::StreamView> &column) {
-                     const int v = accum.accumulate(column);
+                     std::size_t at, std::size_t count) {
+                     const int v = accum.decideFromCount(count);
                      out[at] = flip && (*flip)[col] ? -v : v;
                  });
 }
@@ -361,9 +364,8 @@ TileExecutor::forwardDecoded(const MappedLayer &layer, const InputView &in,
 {
     forwardFused(layer, in, roots, ledger,
                  [&](const sc::AccumulationModule &accum, std::size_t,
-                     std::size_t at,
-                     const std::vector<sc::StreamView> &column) {
-                     out[at] = accum.decodedSum(column);
+                     std::size_t at, std::size_t count) {
+                     out[at] = accum.decodeFromCount(count);
                  });
 }
 

@@ -194,12 +194,8 @@ class TileExecutor
                const std::vector<int> &activations) const;
 
     /**
-     * Exact probability that each output fires +1 when the window is 1
-     * (single-shot mode): the product law of the per-tile neuron
-     * probabilities reduces to the accumulate threshold; computed by
-     * exhaustive expectation over tiles via normal approximation is not
-     * used — for window 1 and a single row tile it is the neuron
-     * probability itself, which tests exercise.
+     * Exact probability that each output fires +1 in single-shot mode
+     * (window 1, one row tile): its column neuron's Eq.-1 probability.
      * @throws std::invalid_argument when the layer has more than one row
      *         tile or activations.size() != fanIn
      */
@@ -233,12 +229,13 @@ class TileExecutor
      * The fused pass behind forward and forwardDecoded: one task per
      * (sample chunk, column group) gathers its samples' patches (when
      * @p in has a patch map), observes the group's row tiles and merges
-     * each (sample, column) across them; @p emit(accum, col, at, streams)
-     * consumes each merged column, `at` being its output index. Within a
-     * row tile and a block of samples, thresholds are memoized by
-     * (column, column sum), so each distinct pair pays one erf (conv
-     * patches share many). The pass's aqfp::forwardCounts are added to
-     * @p ledger after the barrier (they do not depend on values).
+     * each (sample, column) across them; @p emit(accum, col, at, count)
+     * consumes each column's APC window count, `at` being its output
+     * index. Thresholds are memoized by (column, column sum) across the
+     * row tiles and sample blocks whose column neurons and unit current
+     * match, so each distinct pair pays one erf. The pass's
+     * aqfp::forwardCounts are added to @p ledger after the barrier
+     * (they do not depend on values).
      */
     template <typename Emit>
     void forwardFused(const MappedLayer &layer, const InputView &in,

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "simd/kernels.h"
+
 namespace superbnn::sc {
 
 AccumulationModule::AccumulationModule(std::size_t crossbars,
@@ -16,6 +18,17 @@ AccumulationModule::AccumulationModule(std::size_t crossbars,
 }
 
 std::size_t
+AccumulationModule::droppedPairs() const
+{
+    return useExact ? 0 : approx.droppedPairs();
+}
+
+// Both counters are cycle-separable given the fixed input pairing, so
+// the window total (the sum of count() over every cycle) is computed on
+// the packed words: a dropped pair contributes popcount(a | b), every
+// other input its popcount, through the simd::KernelSet kernels.
+
+std::size_t
 AccumulationModule::rawCount(
     const std::vector<StreamView> &streams) const
 {
@@ -24,14 +37,30 @@ AccumulationModule::rawCount(
     for (const StreamView &v : streams)
         assert(v.length == window_);
 #endif
-    // The APC is applied per clock cycle, but both counters are
-    // cycle-separable given the fixed input pairing, so the window total
-    // is computed word-at-a-time on the packed streams instead of
-    // transposing into per-cycle byte slices. The word loops live in the
-    // counters, which run them through the simd::KernelSet popcount
-    // kernels (bit-exact on every dispatch arm).
-    return useExact ? exact.countStreams(streams)
-                    : approx.countStreams(streams);
+    const simd::KernelSet &kernels = simd::active();
+    const std::size_t words = detail::wordsForLength(window_);
+    const std::size_t dropped = droppedPairs();
+    std::size_t ones = 0;
+    for (std::size_t p = 0; p < dropped; ++p)
+        ones += kernels.orPopcountWords(streams[2 * p].words,
+                                        streams[2 * p + 1].words, words);
+    for (std::size_t t = 2 * dropped; t < crossbars_; ++t)
+        ones += kernels.popcountWords(streams[t].words, words);
+    return ones;
+}
+
+std::size_t
+AccumulationModule::rawCount(const std::uint64_t *streams) const
+{
+    const simd::KernelSet &kernels = simd::active();
+    const std::size_t words = detail::wordsForLength(window_);
+    const std::size_t dropped = droppedPairs();
+    std::size_t ones = 0;
+    for (std::size_t p = 0; p < dropped; ++p, streams += 2 * words)
+        ones += kernels.orPopcountWords(streams, streams + words, words);
+    // The kept inputs are one contiguous run: a single popcount.
+    return ones
+        + kernels.popcountWords(streams, (crossbars_ - 2 * dropped) * words);
 }
 
 std::size_t
@@ -52,9 +81,7 @@ AccumulationModule::apcBiasPerCycle() const
     // balanced (p ~ 0.5), so the expected undercount per cycle is
     // droppedPairs / 4. The comparator reference is calibrated for this
     // systematic bias (a one-time design constant, not data dependent).
-    if (useExact)
-        return 0.0;
-    return static_cast<double>(approx.droppedPairs()) / 4.0;
+    return static_cast<double>(droppedPairs()) / 4.0;
 }
 
 int

@@ -19,6 +19,7 @@
 #define SUPERBNN_SC_ACCUMULATION_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "aqfp/cell_library.h"
@@ -55,11 +56,7 @@ class AccumulationModule
     int accumulate(const std::vector<Bitstream> &streams,
                    double reference_offset = 0.0) const;
 
-    /**
-     * Copy-free variant over word views: the tile executor gathers one
-     * (column, sample) across row tiles as StreamViews into its stream
-     * buffer.
-     */
+    /** Copy-free variant over word views. */
     int accumulate(const std::vector<StreamView> &streams,
                    double reference_offset = 0.0) const;
 
@@ -68,6 +65,22 @@ class AccumulationModule
 
     /** Copy-free variant of rawCount over word views. */
     std::size_t rawCount(const std::vector<StreamView> &streams) const;
+
+    /**
+     * rawCount over T zero-tailed streams packed back to back (stream t
+     * at @p streams + t * wordsForLength(L)): the tile executor's layout.
+     */
+    std::size_t rawCount(const std::uint64_t *streams) const;
+
+    /**
+     * Comparator decision for a window-total ones count: +1 iff it
+     * reaches T*L/2 - apcBiasPerCycle() * L + @p reference_offset.
+     */
+    int decideFromCount(std::size_t raw_count,
+                        double reference_offset = 0.0) const;
+
+    /** Bipolar decode of a window-total ones count, in [-T, +T]. */
+    double decodeFromCount(std::size_t raw_count) const;
 
     /**
      * Expected per-cycle undercount of the approximate APC around the
@@ -99,11 +112,8 @@ class AccumulationModule
     ParallelCounter exact;
     ApproxParallelCounter approx;
 
-    /** Comparator decision for a window-total ones count. */
-    int decideFromCount(std::size_t raw_count,
-                        double reference_offset) const;
-    /** Bipolar decode of a window-total ones count. */
-    double decodeFromCount(std::size_t raw_count) const;
+    /** Input pairs counted through the OR pre-combine (0 when exact). */
+    std::size_t droppedPairs() const;
 };
 
 } // namespace superbnn::sc

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "simd/kernels.h"
-
 namespace superbnn::sc {
 
 ParallelCounter::ParallelCounter(std::size_t inputs) : inputs_(inputs)
@@ -21,27 +19,6 @@ ParallelCounter::count(const std::vector<std::uint8_t> &bits) const
         assert(b == 0 || b == 1);
         ones += b;
     }
-    return ones;
-}
-
-namespace {
-
-inline std::size_t
-popcountView(const StreamView &v)
-{
-    return simd::active().popcountWords(
-        v.words, detail::wordsForLength(v.length));
-}
-
-} // namespace
-
-std::size_t
-ParallelCounter::countStreams(const std::vector<StreamView> &streams) const
-{
-    assert(streams.size() == inputs_);
-    std::size_t ones = 0;
-    for (const StreamView &v : streams)
-        ones += popcountView(v);
     return ones;
 }
 
@@ -90,30 +67,6 @@ ApproxParallelCounter::count(const std::vector<std::uint8_t> &bits) const
     }
     if (inputs_ % 2 == 1)
         ones += bits.back();
-    return ones;
-}
-
-std::size_t
-ApproxParallelCounter::countStreams(
-    const std::vector<StreamView> &streams) const
-{
-    assert(streams.size() == inputs_);
-    std::size_t ones = 0;
-    const std::size_t pairs = inputs_ / 2;
-    for (std::size_t p = 0; p < pairs; ++p) {
-        const StreamView &a = streams[2 * p];
-        const StreamView &b = streams[2 * p + 1];
-        assert(a.length == b.length);
-        if (p < droppedPairs_) {
-            // Carry path dropped: each cycle contributes (a | b).
-            ones += simd::active().orPopcountWords(
-                a.words, b.words, detail::wordsForLength(a.length));
-        } else {
-            ones += popcountView(a) + popcountView(b);
-        }
-    }
-    if (inputs_ % 2 == 1)
-        ones += popcountView(streams.back());
     return ones;
 }
 

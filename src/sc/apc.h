@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "aqfp/cell_library.h"
-#include "sc/bitstream.h"
 
 namespace superbnn::sc {
 
@@ -33,16 +32,6 @@ class ParallelCounter
     /** Count ones in @p bits (size must equal inputs()). */
     std::size_t count(const std::vector<std::uint8_t> &bits) const;
 
-    /**
-     * Total ones counted over a whole observation window at once: input
-     * t's per-cycle bit is bit l of streams[t]. Equivalent to summing
-     * count() over every cycle slice, but runs word-at-a-time on the
-     * packed streams (the exact counter is cycle-separable, so this is
-     * just the sum of stream popcounts). Views must share one length
-     * and obey the packed zero-tail invariant.
-     */
-    std::size_t countStreams(const std::vector<StreamView> &streams) const;
-
     std::size_t inputs() const { return inputs_; }
 
     /** Gate inventory of the full-adder tree for JJ accounting. */
@@ -53,17 +42,11 @@ class ParallelCounter
 };
 
 /**
- * Approximate parallel counter: pairs of inputs are pre-combined with one
- * OR and one AND gate (a 2:2 compressor approximation); the OR output is
- * weighted 1 and the AND output is weighted 1, which undercounts exactly
- * when a pair is (1,1) followed by... — concretely, pair (a,b) is
- * approximated as contributing (a|b) + (a&b), which equals a+b, except
- * the approximate variant drops the AND path for the configured fraction
- * of pairs to save gates, undercounting (1,1) pairs there by 1.
- *
- * The default drops the AND path on half of the pairs, matching the
- * gate-count savings of the approximate de-randomizer while keeping the
- * count error small and negatively biased (bounded by droppedPairs()).
+ * Approximate parallel counter: each input pair (a, b) is pre-combined
+ * by one OR and one AND gate (a 2:2 compressor) contributing
+ * (a|b) + (a&b) = a + b; the configured fraction of pairs drops the AND
+ * path to save gates, undercounting a (1,1) pair there by 1. The count
+ * error is small and negatively biased (bounded by droppedPairs()).
  */
 class ApproxParallelCounter
 {
@@ -78,15 +61,6 @@ class ApproxParallelCounter
 
     /** Approximate ones-count of @p bits. */
     std::size_t count(const std::vector<std::uint8_t> &bits) const;
-
-    /**
-     * Window-total approximate count on packed streams: dropped pairs
-     * contribute popcount(a | b) word-wise (the OR pre-combine applied
-     * every cycle), kept inputs contribute their plain popcounts.
-     * Equivalent to summing count() over every cycle slice; views as in
-     * ParallelCounter::countStreams.
-     */
-    std::size_t countStreams(const std::vector<StreamView> &streams) const;
 
     /** Upper bound on the undercount for any input. */
     std::size_t maxUndercount() const { return droppedPairs_; }

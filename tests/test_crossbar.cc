@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "crossbar/crossbar_array.h"
 #include "crossbar/lim_cell.h"
@@ -99,6 +101,45 @@ TEST(CrossbarArrayTest, RejectsBadGrayZoneWidth)
     EXPECT_THROW(CrossbarArray(4, atten(), -1.0), std::invalid_argument);
     EXPECT_THROW(CrossbarArray(4, atten(), std::nan("")),
                  std::invalid_argument);
+}
+
+TEST(CrossbarArrayTest, MutatorsRejectBadArgumentsBeforeMutating)
+{
+    CrossbarArray xbar(8, atten(), 2.4);
+    Rng setup(3);
+    for (std::size_t r = 0; r < 8; ++r)
+        for (std::size_t c = 0; c < 8; ++c)
+            xbar.programCell(r, c, setup.bernoulli(0.5) ? 1 : -1);
+    const auto unchanged = [&] {
+        for (std::size_t c = 0; c < 8; ++c) {
+            EXPECT_EQ(xbar.neuron(c).deltaIinUa(), 2.4) << "column " << c;
+            for (std::size_t r = 0; r < 8; ++r)
+                EXPECT_NE(xbar.weightAt(r, c), 0) << r << "," << c;
+        }
+    };
+    const auto rejects = [](const auto &call, const std::string &what) {
+        try {
+            call();
+            ADD_FAILURE() << "no exception for " << what;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
+    };
+    Rng rng(5);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double sigma : {-0.1, std::nan(""), inf, -inf})
+        rejects([&] { xbar.applyGrayZoneVariation(sigma, rng); },
+                std::to_string(sigma));
+    unchanged();
+    for (const double fraction : {-0.1, 1.5, std::nan(""), inf})
+        rejects([&] { xbar.injectStuckCellsSeeded(fraction, 7); },
+                std::to_string(fraction));
+    unchanged();
+    // The limits themselves are accepted.
+    xbar.applyGrayZoneVariation(0.0, rng);
+    unchanged();
+    EXPECT_EQ(xbar.injectStuckCellsSeeded(1.0, 7), 64u);
 }
 
 TEST(CrossbarArrayTest, DeterministicSignWithTinyGrayZone)

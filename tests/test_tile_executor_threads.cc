@@ -28,11 +28,14 @@
 #include "nn/sequential.h"
 #include "sc/accumulation.h"
 #include "sc/bitstream_batch.h"
+#include "simd/kernels.h"
+#include "simd_test_util.h"
 #include "util/sharded_executor_pool.h"
 #include "util/thread_pool.h"
 
 using namespace superbnn;
 using namespace superbnn::crossbar;
+using superbnn::test::ArmRestore;
 
 namespace {
 
@@ -401,6 +404,63 @@ TEST(AccumulationViewTest, ViewOverloadsMatchBitstreamOverloads)
     }
 }
 
+TEST(AccumulationViewTest, ContiguousCountMatchesViewsOnEveryArm)
+{
+    ArmRestore restore;
+    Rng rng(37);
+    for (const std::size_t window : {1u, 7u, 64u, 65u, 130u}) {
+        for (const std::size_t tiles : {1u, 2u, 5u, 8u}) {
+            SCOPED_TRACE("L " + std::to_string(window) + " T "
+                         + std::to_string(tiles));
+            // T zero-tailed streams back to back, the executor's layout
+            // of one (sample, column) across its row tiles.
+            const std::size_t words = sc::detail::wordsForLength(window);
+            std::vector<sc::Bitstream> streams;
+            std::vector<std::uint64_t> packed;
+            for (std::size_t t = 0; t < tiles; ++t) {
+                streams.push_back(
+                    sc::Bitstream::bernoulli(window, rng.uniform(), rng));
+                packed.insert(packed.end(), streams[t].words().begin(),
+                              streams[t].words().end());
+            }
+            std::vector<sc::StreamView> views;
+            for (std::size_t t = 0; t < tiles; ++t)
+                views.push_back({packed.data() + t * words, window});
+            for (const bool exact : {true, false}) {
+                for (const double drop : {0.0, 0.5, 1.0}) {
+                    const sc::AccumulationModule mod(tiles, window, exact,
+                                                     drop);
+                    // Independent reference: the counters' per-cycle
+                    // count summed over the window.
+                    const sc::ParallelCounter exactCounter(tiles);
+                    const sc::ApproxParallelCounter approxCounter(tiles,
+                                                                  drop);
+                    std::size_t perCycle = 0;
+                    std::vector<std::uint8_t> bits(tiles);
+                    for (std::size_t l = 0; l < window; ++l) {
+                        for (std::size_t t = 0; t < tiles; ++t)
+                            bits[t] = streams[t].bit(l);
+                        perCycle += exact ? exactCounter.count(bits)
+                                          : approxCounter.count(bits);
+                    }
+                    for (const simd::Arm arm : simd::availableArms()) {
+                        ASSERT_TRUE(simd::setActiveArm(arm));
+                        const std::size_t count = mod.rawCount(packed.data());
+                        EXPECT_EQ(count, perCycle)
+                            << simd::armName(arm) << " exact " << exact
+                            << " drop " << drop;
+                        EXPECT_EQ(mod.rawCount(views), perCycle);
+                        EXPECT_EQ(mod.decideFromCount(count),
+                                  mod.accumulate(views));
+                        EXPECT_EQ(mod.decodeFromCount(count),
+                                  mod.decodedSum(views));
+                    }
+                }
+            }
+        }
+    }
+}
+
 // --- threaded executor exactness ---
 
 TEST(ThreadedExecutorTest, BitExactAcrossThreadCounts)
@@ -724,6 +784,66 @@ TEST(FusedExecutorTest, MatchesTwoPhaseReferenceAcrossGeometries)
     }
     EXPECT_GT(saturatedLow, 0u);
     EXPECT_GT(saturatedHigh, 0u);
+}
+
+TEST(FusedExecutorTest, ThresholdMemoFollowsRowTileNeurons)
+{
+    // One column group of seven row tiles whose neurons run A B A A C B B:
+    // B has varied gray-zone widths (equal draws, so equal neurons on
+    // every B tile), C shifted thresholds. The executor's threshold memo
+    // must be reset at every change of neurons and may carry over
+    // between distinct tiles with equal ones (A A, B B). 300 samples
+    // span several sample blocks per task, so the memo also crosses
+    // from the last row tile (B) of one block to the first (A) of the
+    // next.
+    const std::size_t cs = 8, rowTiles = 7, fanOut = 8, samples = 300;
+    Rng rng(2024);
+    const CrossbarMapper mapper(cs, atten(), 2.4);
+    MappedLayer layer =
+        mapper.map(randomSignedMatrix(fanOut, rowTiles * cs, rng));
+    std::vector<double> vth(fanOut);
+    for (auto &v : vth)
+        v = rng.normal() * 2.0;
+    CrossbarMapper::setThresholds(layer, vth);
+    for (const std::size_t rt : {1u, 5u, 6u}) {
+        Rng variation(9);
+        layer.tile(rt, 0).applyGrayZoneVariation(0.5, variation);
+    }
+    CrossbarArray &shifted = layer.tile(4, 0);
+    for (std::size_t c = 0; c < cs; ++c)
+        shifted.setColumnThreshold(c, shifted.neuron(c).ithUa() + 0.5);
+    for (std::size_t c = 0; c < cs; ++c) {
+        EXPECT_TRUE(layer.tile(2, 0).neuron(c) == layer.tile(3, 0).neuron(c));
+        EXPECT_TRUE(layer.tile(5, 0).neuron(c) == layer.tile(6, 0).neuron(c));
+        EXPECT_FALSE(layer.tile(0, 0).neuron(c) == layer.tile(1, 0).neuron(c));
+        EXPECT_FALSE(layer.tile(3, 0).neuron(c) == layer.tile(4, 0).neuron(c));
+    }
+
+    std::vector<std::vector<int>> batch(samples);
+    std::vector<std::uint64_t> roots(samples);
+    for (std::size_t b = 0; b < samples; ++b) {
+        for (std::size_t i = 0; i < layer.fanIn; ++i) {
+            const double u = rng.uniform();
+            batch[b].push_back(u < 0.2 ? 0 : u < 0.6 ? -1 : 1);
+        }
+        roots[b] = rng.raw()();
+    }
+    for (const std::size_t window : {7u, 65u}) {
+        for (const bool exact : {true, false}) {
+            const ReferenceForward ref =
+                referenceForward(layer, batch, roots, window, exact, 0.5);
+            for (const std::size_t threads : {1u, 3u, 4u}) {
+                SCOPED_TRACE("L " + std::to_string(window) + " exact "
+                             + std::to_string(exact) + " threads "
+                             + std::to_string(threads));
+                const TileExecutor exec(window, exact, 0.5, threads);
+                EXPECT_EQ(exec.forwardSeeded(layer, batch, roots),
+                          ref.bits);
+                EXPECT_EQ(exec.forwardDecodedSeeded(layer, batch, roots),
+                          ref.decoded);
+            }
+        }
+    }
 }
 
 TEST(ThreadedExecutorTest, EmptyBatchIsANoOp)

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 namespace superbnn::aqfp {
 
@@ -115,14 +117,20 @@ AttenuationModel::AttenuationModel(PowerLawFit fit) : fit_(fit) {}
 double
 AttenuationModel::currentForValueOne(double cs) const
 {
-    assert(cs >= 1.0);
+    if (!(cs >= 1.0))
+        throw std::invalid_argument(
+            "AttenuationModel: crossbar size Cs must be >= 1, got "
+            + std::to_string(cs));
     return fit_.evaluate(cs);
 }
 
 double
 AttenuationModel::valueGrayZone(double cs, double delta_iin_ua) const
 {
-    assert(delta_iin_ua > 0.0);
+    if (!(delta_iin_ua > 0.0))
+        throw std::invalid_argument(
+            "AttenuationModel: gray-zone width deltaIin must be > 0 uA, "
+            "got " + std::to_string(delta_iin_ua));
     return delta_iin_ua / currentForValueOne(cs);
 }
 

@@ -115,10 +115,17 @@ class AttenuationModel
     /** Build from a custom fit. */
     explicit AttenuationModel(PowerLawFit fit);
 
-    /** Per-unit output current I1(Cs) in uA (Eq. 2). */
+    /**
+     * Per-unit output current I1(Cs) in uA (Eq. 2).
+     * @throws std::invalid_argument for Cs < 1 or NaN
+     */
     double currentForValueOne(double cs) const;
 
-    /** Value-domain gray-zone width deltaVin(Cs) (Eq. 4). */
+    /**
+     * Value-domain gray-zone width deltaVin(Cs) (Eq. 4).
+     * @throws std::invalid_argument for deltaIin <= 0 or NaN, and for
+     *         Cs < 1 or NaN
+     */
     double valueGrayZone(double cs, double delta_iin_ua) const;
 
     const PowerLawFit &fit() const { return fit_; }

@@ -1,11 +1,15 @@
 #include "core/randomized_binarize.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <limits>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/bn_matching.h"
+#include "tensor/tensor_ops.h"
 
 namespace superbnn::core {
 
@@ -13,36 +17,81 @@ namespace {
 
 constexpr double kSqrtPi = 1.7724538509055160273;
 
-/** Integral partials within this distance of zero are memoized. */
-constexpr int kMemoRadius = 64;
-constexpr std::size_t kMemoSpan = 2 * kMemoRadius + 1;
+/**
+ * Widest tile partial with a probability-table slot, so that a slot
+ * index (partial + radius) fits in one byte.
+ */
+constexpr std::size_t kTableRadius = 127;
+
+/** Elements per forwardTiled round. */
+constexpr std::size_t kRoundElems = std::size_t{1} << 14;
+
+/** Draw records (element x tile slots) per forwardTiled round. */
+constexpr std::size_t kRoundSlots = std::size_t{1} << 16;
+
+/** Most elements in one unit, so a record's element fits a byte. */
+constexpr std::size_t kUnitElems = 256;
+
+/** Most units in one round: kRoundElems / kUnitElems (wide tiles fit fewer). */
+constexpr std::size_t kRoundUnits = kRoundElems / kUnitElems;
+
+/** Most row tiles: an element's p >= 1 count must fit 16 bits. */
+constexpr std::size_t kMaxTiles = 0xFFFF;
+
+/** parallelRowBlocks work units (multiply-adds) of one erf / exp. */
+constexpr std::size_t kErfWork = 32;
+
+/** parallelRowBlocks work units of one coded tile partial. */
+constexpr std::size_t kTileWork = 8;
+
+/** Bytes of slot codes one unit gathers at a time. */
+constexpr std::size_t kCodeBytes = 4096;
+
+/** Slot code of a partial the probability table does not hold. */
+constexpr std::uint8_t kNoSlot = 0xFF;
+
+/** Slot classes: p >= 1 (a one without a draw), 0 < p < 1 (a draw). */
+constexpr std::uint8_t kOne = 1;
+constexpr std::uint8_t kDraw = 2;
 
 /**
- * f(s) for a tile partial s, through a kMemoSpan-slot @p table (NaN =
- * not yet computed): +/-1 activations and weights make every partial
- * an integer, so the same few values repeat across a batch. A slot
- * keys the exact value of s (-0 and +0 share one, which the
- * probability maps alike), so a memoized result is bit-identical to
- * computing f(s) again.
+ * 1.5 * 2^23, in the middle of a binade of unit spacing: for an integer
+ * v with |v| < 2^22, v + kRoundMagic is exact and its bits exceed
+ * kRoundMagicBits by v.
  */
-template <typename F>
-double
-memoized(double *table, float s, const F &f)
+constexpr float kRoundMagic = 12582912.0f;
+constexpr std::uint32_t kRoundMagicBits = 0x4B400000u;
+
+/**
+ * code[j] = v[j] + radius when v[j] is an integer in [-radius, radius]
+ * (radius <= 127), else kNoSlot: v[j] is such an integer exactly when
+ * f = v[j] + kRoundMagic gives back v[j] and f's bits lie within
+ * radius of kRoundMagicBits (NaN fails the first test). Unsigned and
+ * branch-free, so the loop vectorizes.
+ */
+void
+slotCodes(const float *v, std::size_t len, std::uint32_t radius,
+          std::uint8_t *code)
 {
-    if (!(s >= -kMemoRadius && s <= kMemoRadius))
-        return f(s);
-    const int si = static_cast<int>(s);
-    if (static_cast<float>(si) != s)
-        return f(s);
-    double &slot = table[si + kMemoRadius];
-    if (std::isnan(slot))
-        slot = f(s);
-    return slot;
+    for (std::size_t j = 0; j < len; ++j) {
+        const float f = v[j] + kRoundMagic;
+        std::uint32_t bits;
+        std::memcpy(&bits, &f, sizeof bits);
+        const std::uint32_t slot = bits - kRoundMagicBits + radius;
+        const bool hit = (f - kRoundMagic == v[j]) & (slot <= 2 * radius);
+        code[j] = hit ? static_cast<std::uint8_t>(slot) : kNoSlot;
+    }
 }
 
-/** Elements per CellBinarize probability chunk. */
-constexpr std::size_t kDrawChunk = 64;
-
+/** Grow @p v to at least @p n elements; never shrinks or re-fills. */
+template <typename T>
+T *
+atLeast(std::vector<T> &v, std::size_t n)
+{
+    if (v.size() < n)
+        v.resize(n);
+    return v.data();
+}
 
 } // namespace
 
@@ -164,70 +213,166 @@ CellBinarize::forwardTiled(const Tensor &input, bool training)
     }
     const std::size_t t_count = tiles_->tileCount();
     const std::size_t e = input.size();
+    if (tiles_->tilePartials().size() != t_count * e)
+        throw std::logic_error(
+            "CellBinarize::forwardTiled: the tile partials hold "
+            + std::to_string(tiles_->tilePartials().size())
+            + " values, expected tileCount() * elements = "
+            + std::to_string(t_count * e));
+    if (t_count == 0 || t_count > kMaxTiles)
+        throw std::logic_error(
+            "CellBinarize::forwardTiled: " + std::to_string(t_count)
+            + " row tiles, outside [1, " + std::to_string(kMaxTiles) + "]");
     const float *partials = tiles_->tilePartials().data();
-    assert(tiles_->tilePartials().size() == t_count * e);
-    const double share = 1.0 / static_cast<double>(t_count);
-    std::vector<double> vth_share(bn_->channels());
-    for (std::size_t c = 0; c < vth_share.size(); ++c)
-        vth_share[c] = folded.vth[c] * share;
-    std::vector<double> memo(bn_->channels() * kMemoSpan,
-                             std::numeric_limits<double>::quiet_NaN());
-    // Elements go a chunk at a time: gather every tile's probability,
-    // reading each tile's partials contiguously; settle the saturated
-    // tiles (p <= 0 or p >= 1, which Rng::bernoulli decides without a
-    // draw) branch-free; then make the remaining draws in element-major
-    // order, the exact Rng calls of a per-element loop. Channels are
-    // stepped element by element (NCHW or NC order), not divided out.
     const std::size_t channels = input.dim(1);
     const std::size_t plane =
         input.rank() == 4 ? input.dim(2) * input.dim(3) : 1;
-    std::size_t ch = 0, pos = 0;
-    std::size_t chan[kDrawChunk], ones[kDrawChunk];
-    std::vector<double> probs(kDrawChunk * t_count);
-    std::vector<double> draw_p(kDrawChunk * t_count);
-    std::vector<std::size_t> draw_elem(kDrawChunk * t_count);
+    const double share = 1.0 / static_cast<double>(t_count);
+    std::vector<double> vth_share(channels);
+    for (std::size_t c = 0; c < channels; ++c)
+        vth_share[c] = folded.vth[c] * share;
     Tensor out(input.shape());
-    for (std::size_t c0 = 0; c0 < e; c0 += kDrawChunk) {
-        const std::size_t len = std::min(kDrawChunk, e - c0);
-        for (std::size_t j = 0; j < len; ++j) {
-            chan[j] = ch;
-            if (++pos == plane) {
-                pos = 0;
-                ch = ch + 1 == channels ? 0 : ch + 1;
+    const auto tile_prob = [&](double s_t, std::size_t c) {
+        return 0.5
+            + 0.5 * std::erf(kSqrtPi * (s_t - vth_share[c]) / deltaVin_);
+    };
+
+    // +/-1 activations and weights make every partial an integer in
+    // [-tileRows, tileRows], so each channel's probabilities are one
+    // table over that range, built before any task reads it, with each
+    // slot's class beside it (slot kNoSlot has none). -0 and +0 share a
+    // slot, which the probability maps alike.
+    const std::size_t radius =
+        std::min(tiles_->tileRows(), kTableRadius);
+    const std::size_t span = 2 * radius + 1;
+    double *table = atLeast(probTable_, channels * span);
+    std::uint8_t *classes = atLeast(slotClass_, channels * 256);
+    parallelRowBlocks(channels, span * kErfWork,
+                      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t c = lo; c < hi; ++c) {
+            std::uint8_t *cls = classes + c * 256;
+            std::fill(cls, cls + 256, std::uint8_t{0});
+            for (std::size_t k = 0; k < span; ++k) {
+                const double p = tile_prob(
+                    static_cast<double>(k) - static_cast<double>(radius),
+                    c);
+                table[c * span + k] = p;
+                // Rng::bernoulli settles p <= 0 and p >= 1 without a
+                // draw; anything else (NaN too) draws.
+                cls[k] = p >= 1.0 ? kOne
+                                  : !(p <= 0.0) ? kDraw : std::uint8_t{0};
             }
         }
-        for (std::size_t t = 0; t < t_count; ++t) {
-            const float *row = partials + t * e + c0;
-            for (std::size_t j = 0; j < len; ++j) {
-                const double vth = vth_share[chan[j]];
-                probs[j * t_count + t] = memoized(
-                    memo.data() + chan[j] * kMemoSpan, row[j],
-                    [&](double s_t) {
-                        return 0.5
-                            + 0.5 * std::erf(kSqrtPi * (s_t - vth)
-                                             / deltaVin_);
-                    });
+    });
+
+    // Elements go a round at a time, in units of up to kUnitElems.
+    // Phase 1, on the pool, one unit per step: code every partial,
+    // count each element's p >= 1 tiles, and write one record (table
+    // slot, element) per tile that needs a draw, element-major and in
+    // tile order; an element with a partial the table does not hold gets
+    // one kNoSlot record instead. Phase 2, on this thread: walk the
+    // records unit by unit, the exact Rng calls of a per-element loop,
+    // then take each majority and apply the flip. The round scratch
+    // lives on this thread's stack (~160 KiB): bounded, reused by every
+    // round, and never part of the heap.
+    const auto decide = [&](std::size_t ones, std::size_t c) {
+        const bool one = 2 * ones >= t_count;
+        return one != folded.flip[c] ? 1.0f : -1.0f;
+    };
+    const std::size_t unit =
+        std::clamp<std::size_t>(kCodeBytes / t_count, 1, kUnitElems);
+    const std::size_t units_per_round = std::max<std::size_t>(
+        std::min(kRoundSlots / (unit * t_count), kRoundElems / unit), 1);
+    const std::size_t round = units_per_round * unit;
+    assert(units_per_round <= kRoundUnits && round * t_count <= kRoundSlots);
+    std::uint8_t rec_slot[kRoundSlots], rec_elem[kRoundSlots];
+    std::uint32_t rec_count[kRoundUnits];
+    std::uint16_t sat[kRoundElems];
+    std::size_t ch = 0, pos = 0;
+    for (std::size_t r0 = 0; r0 < e; r0 += round) {
+        const std::size_t len = std::min(round, e - r0);
+        const std::size_t units = (len + unit - 1) / unit;
+        parallelRowBlocks(units, unit * t_count * kTileWork,
+                          [&, r0, len](std::size_t lo, std::size_t hi) {
+            // Locals: a byte store may alias anything a capture reaches,
+            // so reads through captures would reload after each one.
+            const std::size_t tc = t_count, stride = e, nc = channels;
+            const std::size_t pl = plane, un = unit;
+            const auto rad = static_cast<std::uint32_t>(radius);
+            const float *part = partials + r0;
+            const std::uint8_t *cls_all = classes;
+            std::uint8_t unit_codes[kCodeBytes];
+            for (std::size_t u = lo; u < hi; ++u) {
+                const std::size_t j0 = u * un;
+                const std::size_t nj = std::min(un, len - j0);
+                std::uint8_t *rs = rec_slot + j0 * tc;
+                std::uint8_t *re = rec_elem + j0 * tc;
+                // Codes tile-major, so each tile's partials are read
+                // contiguously; a one-element unit codes into its own
+                // records and compacts them in place.
+                std::uint8_t *codes = un == 1 ? rs : unit_codes;
+                for (std::size_t t = 0; t < tc; ++t)
+                    slotCodes(part + t * stride + j0, nj, rad,
+                              codes + t * nj);
+                std::size_t c = (r0 + j0) / pl % nc, p = (r0 + j0) % pl;
+                std::size_t n = 0;
+                for (std::size_t j = 0; j < nj; ++j) {
+                    const std::uint8_t *cls = cls_all + c * 256;
+                    const std::size_t first = n;
+                    std::uint32_t ones = 0;
+                    bool direct = false;
+                    for (std::size_t t = 0; t < tc; ++t) {
+                        const std::uint8_t k = codes[t * nj + j];
+                        const std::uint8_t q = cls[k];
+                        direct |= k == kNoSlot;
+                        ones += q & kOne;
+                        rs[n] = k;
+                        re[n] = static_cast<std::uint8_t>(j);
+                        n += q >> 1;
+                    }
+                    if (direct) {
+                        n = first;
+                        ones = 0;
+                        rs[n] = kNoSlot;
+                        re[n++] = static_cast<std::uint8_t>(j);
+                    }
+                    sat[j0 + j] = static_cast<std::uint16_t>(ones);
+                    if (++p == pl) {
+                        p = 0;
+                        c = c + 1 == nc ? 0 : c + 1;
+                    }
+                }
+                rec_count[u] = static_cast<std::uint32_t>(n);
             }
-        }
-        std::size_t draws = 0;
-        for (std::size_t j = 0; j < len; ++j) {
-            ones[j] = 0;
-            for (std::size_t t = 0; t < t_count; ++t) {
-                const double p = probs[j * t_count + t];
-                ones[j] += p >= 1.0;
-                draw_p[draws] = p;
-                draw_elem[draws] = j;
-                draws += static_cast<std::size_t>(!(p <= 0.0))
-                    & static_cast<std::size_t>(!(p >= 1.0));
+        });
+        std::size_t chan[kUnitElems];
+        std::uint32_t ones[kUnitElems];
+        for (std::size_t u = 0; u < units; ++u) {
+            const std::size_t j0 = u * unit;
+            const std::size_t nj = std::min(unit, len - j0);
+            for (std::size_t j = 0; j < nj; ++j) {
+                chan[j] = ch;
+                ones[j] = sat[j0 + j];
+                if (++pos == plane) {
+                    pos = 0;
+                    ch = ch + 1 == channels ? 0 : ch + 1;
+                }
             }
-        }
-        for (std::size_t d = 0; d < draws; ++d)
-            ones[draw_elem[d]] += rng_->bernoulli(draw_p[d]) ? 1 : 0;
-        for (std::size_t j = 0; j < len; ++j) {
-            int v = (2 * ones[j] >= t_count) ? 1 : -1;
-            if (folded.flip[chan[j]])
-                v = -v;
-            out[c0 + j] = static_cast<float>(v);
+            const std::uint8_t *rs = rec_slot + j0 * t_count;
+            const std::uint8_t *re = rec_elem + j0 * t_count;
+            for (std::size_t k = 0; k < rec_count[u]; ++k) {
+                const std::size_t j = re[k];
+                if (rs[k] == kNoSlot) {
+                    for (std::size_t t = 0; t < t_count; ++t)
+                        ones[j] += rng_->bernoulli(tile_prob(
+                            partials[t * e + r0 + j0 + j], chan[j]));
+                } else {
+                    ones[j] += rng_->bernoulli(
+                        table[chan[j] * span + rs[k]]);
+                }
+            }
+            for (std::size_t j = 0; j < nj; ++j)
+                out[r0 + j0 + j] = decide(ones[j], chan[j]);
         }
     }
     return out;
@@ -272,12 +417,20 @@ CellBinarize::backward(const Tensor &grad_output)
         if (tiles_ != nullptr)
             widths[c] = std::max(widths[c], 1.0);
     }
-    for (std::size_t i = 0; i < dx.size(); ++i) {
-        const double w = widths[channelOf(cachedInput.shape(), i)];
-        const double z = cachedInput[i] / w;
-        const double de = (2.0 / w) * std::exp(-M_PI * z * z);
-        dx[i] = grad_output[i] * static_cast<float>(de);
-    }
+    // One (sample, channel) plane per row; rank-2 planes are 1 element.
+    const Shape &shape = cachedInput.shape();
+    const std::size_t plane = shape.size() == 4 ? shape[2] * shape[3] : 1;
+    parallelRowBlocks(dx.size() / plane, plane * kErfWork,
+                      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t u = lo; u < hi; ++u) {
+            const double w = widths[u % shape[1]];
+            for (std::size_t i = u * plane; i < (u + 1) * plane; ++i) {
+                const double z = cachedInput[i] / w;
+                const double de = (2.0 / w) * std::exp(-M_PI * z * z);
+                dx[i] = grad_output[i] * static_cast<float>(de);
+            }
+        }
+    });
     return dx;
 }
 
@@ -302,27 +455,36 @@ HeadReadout::forward(const Tensor &input, bool training)
     assert(input.dim(1) == alpha_->value.size());
     const std::size_t t_count = tiles_->tileCount();
     const std::size_t e = input.size();
+    if (tiles_->tilePartials().size() != t_count * e)
+        throw std::logic_error(
+            "HeadReadout::forward: the tile partials hold "
+            + std::to_string(tiles_->tilePartials().size())
+            + " values, expected tileCount() * elements = "
+            + std::to_string(t_count * e));
     const float *partials = tiles_->tilePartials().data();
-    assert(tiles_->tilePartials().size() == t_count * e);
     Tensor out(input.shape());
     Tensor slope(input.shape());
-    for (std::size_t i = 0; i < e; ++i) {
-        const std::size_t c = i % input.dim(1);
-        double acc = 0.0, dacc = 0.0;
-        for (std::size_t t = 0; t < t_count; ++t) {
-            const double s_t = partials[t * e + i];
-            acc += std::erf(kSqrtPi * s_t / deltaVin_);
-            const double z = s_t / surrogateWidth_;
-            dacc += std::exp(-M_PI * z * z);
+    const std::size_t classes = input.dim(1);
+    parallelRowBlocks(e, 2 * t_count * kErfWork,
+                      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            double acc = 0.0, dacc = 0.0;
+            for (std::size_t t = 0; t < t_count; ++t) {
+                const double s_t = partials[t * e + i];
+                acc += std::erf(kSqrtPi * s_t / deltaVin_);
+                const double z = s_t / surrogateWidth_;
+                dacc += std::exp(-M_PI * z * z);
+            }
+            out[i] = static_cast<float>(acc) * alpha_->value[i % classes];
+            // Mean surrogate slope of the squashed sum with respect to
+            // the head's linear output alpha*s (chain through
+            // s = y/alpha). The (2/W) physical prefactor is dropped so
+            // the surrogate has unit scale inside the window — the
+            // standard STE convention.
+            slope[i] = static_cast<float>(
+                dacc / static_cast<double>(t_count));
         }
-        out[i] = static_cast<float>(acc) * alpha_->value[c];
-        // Mean surrogate slope of the squashed sum with respect to the
-        // head's linear output alpha*s (chain through s = y/alpha).
-        // The (2/W) physical prefactor is dropped so the surrogate has
-        // unit scale inside the window — the standard STE convention.
-        slope[i] = static_cast<float>(
-            dacc / static_cast<double>(t_count));
-    }
+    });
     if (training) {
         cachedShape = input.shape();
         cachedMeanSlope = std::move(slope);

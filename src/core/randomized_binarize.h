@@ -18,6 +18,9 @@
 #ifndef SUPERBNN_CORE_RANDOMIZED_BINARIZE_H
 #define SUPERBNN_CORE_RANDOMIZED_BINARIZE_H
 
+#include <cstdint>
+#include <vector>
+
 #include "aqfp/attenuation.h"
 #include "nn/batchnorm.h"
 #include "nn/module.h"
@@ -88,6 +91,11 @@ class RandomizedBinarize : public nn::Module
  * width therefore reproduces the hardware exactly for either sign of
  * gamma. HardTanh is absorbed: it only reshapes amplitudes already deep
  * in the deterministic region of the gray-zone.
+ *
+ * The tile-aware forward computes every tile's probability on the
+ * shared pool and then makes the Bernoulli draws on the calling thread,
+ * element-major and tile by tile, so the Rng stream and the output bits
+ * are the same at any pool size.
  */
 class CellBinarize : public nn::Module
 {
@@ -130,6 +138,11 @@ class CellBinarize : public nn::Module
     const nn::Parameter *alpha_;
     const nn::TilePartialSource *tiles_;
     Tensor cachedInput;
+
+    // forwardTiled's per-channel tables: sized by the widest call so
+    // far and reused, so a steady training loop allocates neither.
+    std::vector<double> probTable_;          ///< [channel][partial slot]
+    std::vector<std::uint8_t> slotClass_;    ///< [channel][slot code]
 
     std::size_t channelOf(const Shape &shape, std::size_t flat) const;
 

@@ -1,6 +1,9 @@
 #include "nn/batchnorm.h"
 
 #include <cmath>
+#include <vector>
+
+#include "tensor/tensor_ops.h"
 
 namespace superbnn::nn {
 
@@ -46,6 +49,24 @@ BatchNorm::groupSize(const Shape &shape) const
     return shape[0] * shape[2] * shape[3];
 }
 
+/**
+ * Run body(flat_begin, flat_end, c) over every (sample, channel) plane
+ * of an (N,C) or (N,C,H,W) shape on the pool, each plane once; planes
+ * of rank-2 shapes are single elements.
+ */
+template <typename Fn>
+void
+forEachPlane(const Shape &shape, std::size_t work_per_element, Fn &&fn)
+{
+    const std::size_t ch = shape[1];
+    const std::size_t plane = shape.size() == 2 ? 1 : shape[2] * shape[3];
+    parallelRowBlocks(shape[0] * ch, plane * work_per_element,
+                      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t u = lo; u < hi; ++u)
+            fn(u * plane, (u + 1) * plane, u % ch);
+    });
+}
+
 Tensor
 BatchNorm::forward(const Tensor &input, bool training)
 {
@@ -57,38 +78,44 @@ BatchNorm::forward(const Tensor &input, bool training)
     Tensor inv_std({channels_});
     Tensor means({channels_});
 
-    for (std::size_t c = 0; c < channels_; ++c) {
-        double mean, var;
-        if (training) {
-            double acc = 0.0;
-            forEachInChannel(input.shape(), c,
-                             [&](std::size_t i) { acc += input[i]; });
-            mean = acc / static_cast<double>(m);
-            double vacc = 0.0;
-            forEachInChannel(input.shape(), c, [&](std::size_t i) {
-                const double d = input[i] - mean;
-                vacc += d * d;
-            });
-            var = vacc / static_cast<double>(m);
-            runningMean_[c] = (1.0f - momentum_) * runningMean_[c]
-                + momentum_ * static_cast<float>(mean);
-            runningVar_[c] = (1.0f - momentum_) * runningVar_[c]
-                + momentum_ * static_cast<float>(var);
-        } else {
-            mean = runningMean_[c];
-            var = runningVar_[c];
+    // Statistics one channel per task, each summed in element order;
+    // then every plane is normalized independently.
+    parallelRowBlocks(channels_, 4 * m, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t c = lo; c < hi; ++c) {
+            double mean, var;
+            if (training) {
+                double acc = 0.0;
+                forEachInChannel(input.shape(), c,
+                                 [&](std::size_t i) { acc += input[i]; });
+                mean = acc / static_cast<double>(m);
+                double vacc = 0.0;
+                forEachInChannel(input.shape(), c, [&](std::size_t i) {
+                    const double d = input[i] - mean;
+                    vacc += d * d;
+                });
+                var = vacc / static_cast<double>(m);
+                runningMean_[c] = (1.0f - momentum_) * runningMean_[c]
+                    + momentum_ * static_cast<float>(mean);
+                runningVar_[c] = (1.0f - momentum_) * runningVar_[c]
+                    + momentum_ * static_cast<float>(var);
+            } else {
+                mean = runningMean_[c];
+                var = runningVar_[c];
+            }
+            inv_std[c] = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
+            means[c] = static_cast<float>(mean);
         }
-        const float istd =
-            1.0f / std::sqrt(static_cast<float>(var) + eps_);
-        inv_std[c] = istd;
-        means[c] = static_cast<float>(mean);
+    });
+    forEachPlane(input.shape(), 2, [&](std::size_t lo, std::size_t hi,
+                                       std::size_t c) {
+        const float mean = means[c], istd = inv_std[c];
         const float g = gamma_.value[c], b = beta_.value[c];
-        forEachInChannel(input.shape(), c, [&](std::size_t i) {
-            const float xh = (input[i] - static_cast<float>(mean)) * istd;
+        for (std::size_t i = lo; i < hi; ++i) {
+            const float xh = (input[i] - mean) * istd;
             norm[i] = xh;
             out[i] = g * xh + b;
-        });
-    }
+        }
+    });
 
     if (training) {
         cachedNorm = std::move(norm);
@@ -107,32 +134,39 @@ BatchNorm::backward(const Tensor &grad_output)
     assert(grad_output.shape() == cachedShape);
     const std::size_t m = groupSize(cachedShape);
     Tensor dx(cachedShape);
-
-    for (std::size_t c = 0; c < channels_; ++c) {
-        double dg = 0.0, db = 0.0, dxh_dot_xh = 0.0, dxh_sum = 0.0;
-        forEachInChannel(cachedShape, c, [&](std::size_t i) {
-            dg += grad_output[i] * cachedNorm[i];
-            db += grad_output[i];
-        });
-        gamma_.grad[c] += static_cast<float>(dg);
-        beta_.grad[c] += static_cast<float>(db);
-
+    // dxh = dY * gamma; the standard BN backward identity needs the
+    // channel sums of dxh and dxh * x_hat: one task per channel, each
+    // sum in element order.
+    std::vector<double> dxh_sum(channels_), dxh_dot_xh(channels_);
+    parallelRowBlocks(channels_, 4 * m, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t c = lo; c < hi; ++c) {
+            const float g = gamma_.value[c];
+            double dg = 0.0, db = 0.0, sum = 0.0, dot = 0.0;
+            forEachInChannel(cachedShape, c, [&](std::size_t i) {
+                dg += grad_output[i] * cachedNorm[i];
+                db += grad_output[i];
+                const double dxh = grad_output[i] * g;
+                sum += dxh;
+                dot += dxh * cachedNorm[i];
+            });
+            gamma_.grad[c] += static_cast<float>(dg);
+            beta_.grad[c] += static_cast<float>(db);
+            dxh_sum[c] = sum;
+            dxh_dot_xh[c] = dot;
+        }
+    });
+    const double inv_m = 1.0 / static_cast<double>(m);
+    forEachPlane(cachedShape, 4, [&](std::size_t lo, std::size_t hi,
+                                     std::size_t c) {
         const float g = gamma_.value[c];
-        // dxh = dY * gamma; reuse the standard BN backward identity.
-        forEachInChannel(cachedShape, c, [&](std::size_t i) {
-            const double dxh = grad_output[i] * g;
-            dxh_sum += dxh;
-            dxh_dot_xh += dxh * cachedNorm[i];
-        });
-        const double inv_m = 1.0 / static_cast<double>(m);
         const float istd = cachedInvStd[c];
-        forEachInChannel(cachedShape, c, [&](std::size_t i) {
+        for (std::size_t i = lo; i < hi; ++i) {
             const double dxh = grad_output[i] * g;
             dx[i] = static_cast<float>(
-                istd * (dxh - dxh_sum * inv_m
-                        - cachedNorm[i] * dxh_dot_xh * inv_m));
-        });
-    }
+                istd * (dxh - dxh_sum[c] * inv_m
+                        - cachedNorm[i] * dxh_dot_xh[c] * inv_m));
+        }
+    });
     return dx;
 }
 

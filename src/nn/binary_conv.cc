@@ -26,7 +26,11 @@ BinaryConv2d::BinaryConv2d(std::size_t in_channels,
     : TilePartialSource(tile_size == 0
                             ? 1
                             : (in_channels * kernel * kernel + tile_size
-                               - 1) / tile_size),
+                               - 1) / tile_size,
+                        tile_size == 0
+                            ? in_channels * kernel * kernel
+                            : std::min(tile_size,
+                                       in_channels * kernel * kernel)),
       inC(in_channels), outC(out_channels), spec_{kernel, stride, padding},
       tileSize(tile_size),
       weight_(Tensor::kaiming({out_channels, in_channels, kernel, kernel},
@@ -107,30 +111,38 @@ BinaryConv2d::backward(const Tensor &grad_output)
     const std::size_t plane = oh * ow;
     const std::size_t patch = inC * spec_.kernel * spec_.kernel;
 
-    // dY rearranged to (O, N*oh*ow) and alpha/prescale gradients.
+    // dY rearranged to (O, N*oh*ow) and alpha/prescale gradients, one
+    // output channel per task so its alpha gradient adds up in image
+    // order.
     Tensor ds({outC, n * plane});
-    for (std::size_t ni = 0; ni < n; ++ni) {
-        for (std::size_t oi = 0; oi < outC; ++oi) {
-            const float *src =
-                grad_output.data() + (ni * outC + oi) * plane;
-            float *dst = ds.data() + oi * (n * plane) + ni * plane;
-            const float *pre =
-                cachedPreScale.data() + oi * (n * plane) + ni * plane;
+    parallelRowBlocks(outC, 2 * n * plane, [&](std::size_t lo,
+                                               std::size_t hi) {
+        for (std::size_t oi = lo; oi < hi; ++oi) {
             const float a = alpha_.value[oi];
-            double da = 0.0;
-            for (std::size_t p = 0; p < plane; ++p) {
-                da += static_cast<double>(src[p]) * pre[p];
-                dst[p] = src[p] * a;
+            for (std::size_t ni = 0; ni < n; ++ni) {
+                const float *src =
+                    grad_output.data() + (ni * outC + oi) * plane;
+                float *dst = ds.data() + oi * (n * plane) + ni * plane;
+                const float *pre =
+                    cachedPreScale.data() + oi * (n * plane) + ni * plane;
+                double da = 0.0;
+                for (std::size_t p = 0; p < plane; ++p) {
+                    da += static_cast<double>(src[p]) * pre[p];
+                    dst[p] = src[p] * a;
+                }
+                // Fan-in normalized, as in BinaryLinear: keeps the scale
+                // parameter trainable with plain SGD on wide layers.
+                alpha_.grad[oi] += static_cast<float>(
+                    da / static_cast<double>(patch));
             }
-            // Fan-in normalized, as in BinaryLinear: keeps the scale
-            // parameter trainable with plain SGD on wide layers.
-            alpha_.grad[oi] += static_cast<float>(
-                da / static_cast<double>(patch));
         }
-    }
+    });
 
     // STE through sign with clipping.
     Tensor dwb = matmulTransposedB(ds, cachedCols); // (O, patch)
+    // The patches are dead from here; dropping them before dcols is
+    // allocated keeps two patch matrices from being live at once.
+    cachedCols = Tensor();
     for (std::size_t i = 0; i < outC * patch; ++i) {
         const float wr = weight_.value[i];
         if (wr >= -1.0f && wr <= 1.0f)
@@ -150,6 +162,9 @@ BinaryConv2d::preScaleWithPartials(const Tensor &cols, const Tensor &wb,
     const std::size_t m = cols.dim(1);
     const std::size_t plane = m / n;
     Tensor s({outC, m});
+    // Release the previous pass's partials first: both at once would
+    // raise the training peak by a whole partial tensor.
+    partials_ = Tensor();
     partials_ = Tensor({tileCount(), m * outC});
     // One task per (channel o, image ni): s and each tile's partial
     // accumulate the same products in patch order, as matmul and a

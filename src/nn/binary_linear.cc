@@ -64,7 +64,9 @@ BinaryLinear::BinaryLinear(std::size_t in_features,
                            std::size_t tile_size)
     : TilePartialSource(tile_size == 0
                             ? 1
-                            : (in_features + tile_size - 1) / tile_size),
+                            : (in_features + tile_size - 1) / tile_size,
+                        tile_size == 0 ? in_features
+                                       : std::min(tile_size, in_features)),
       inF(in_features), outF(out_features), tileSize(tile_size),
       weight_(Tensor::kaiming({out_features, in_features}, rng,
                               in_features)),
@@ -132,6 +134,9 @@ BinaryLinear::preScaleWithPartials(const Tensor &input, const Tensor &wb)
         for (std::size_t k = 0; k < inF; ++k)
             wt[k * outF + j] = wb[j * inF + k];
     Tensor s({n, outF});
+    // Release the previous pass's partials first: both at once would
+    // raise the training peak by a whole partial tensor.
+    partials_ = Tensor();
     partials_ = Tensor({tileCount(), stride});
     parallelRowBlocks(n, inF * outF, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {

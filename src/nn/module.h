@@ -108,16 +108,25 @@ class TilePartialSource
     std::size_t tileCount() const { return tiles_; }
 
     /**
+     * Rows of the widest tile (the fan-in when tiling is disabled): a
+     * tile partial of +/-1 inputs and weights is an integer in
+     * [-tileRows(), tileRows()].
+     */
+    std::size_t tileRows() const { return rows_; }
+
+    /**
      * The (T, E) partials of the last forward pass; empty before the
      * first one and when tiling is disabled.
      */
     const Tensor &tilePartials() const { return partials_; }
 
   protected:
-    explicit TilePartialSource(std::size_t tiles) : tiles_(tiles) {}
+    TilePartialSource(std::size_t tiles, std::size_t rows)
+        : tiles_(tiles), rows_(rows) {}
     ~TilePartialSource() = default;
 
     std::size_t tiles_;
+    std::size_t rows_;
     Tensor partials_;
 };
 

@@ -22,19 +22,25 @@ namespace superbnn::nn {
 
 /**
  * Empirical quantile of the tensor's values (linear interpolation).
+ * The two order statistics come from nth_element on a copy below 5000
+ * values and from a radix select over order-preserving keys above;
+ * either returns the floats a full sort would put there (where -0 and
+ * +0 tie, the radix select places -0 first).
  * @param q in [0, 1]
- * @throws std::invalid_argument for an empty tensor, or q outside
- *         [0, 1] or NaN
+ * @throws std::invalid_argument for an empty tensor, a NaN value (the
+ *         message names its index), or q outside [0, 1] or NaN
  */
 float quantile(const Tensor &values, double q);
 
 /**
  * Apply the rectified clamp in place:
  *   w = max(min(w, Q(tau)), Q(1 - tau))
- * with Q the empirical quantile of @p weights.
+ * with Q the empirical quantile of @p weights (as quantile() computes
+ * it; from 5000 values on, both bounds come from one radix select).
  *
  * @return the pair of clamp bounds used (low, high)
- * @throws std::invalid_argument for tau outside [0.5, 1] or NaN
+ * @throws std::invalid_argument for tau outside [0.5, 1] or NaN, empty
+ *         weights, or a NaN weight (the message names its index)
  */
 std::pair<float, float> applyReCU(Tensor &weights, double tau);
 

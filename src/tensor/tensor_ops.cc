@@ -194,13 +194,18 @@ col2im(const Tensor &cols, const Shape &input_shape, const Conv2dSpec &spec)
     const float *pc = cols.data();
     const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(spec.padding);
 
-    for (std::size_t ci = 0; ci < c; ++ci) {
-        for (std::size_t ky = 0; ky < k; ++ky) {
-            for (std::size_t kx = 0; kx < k; ++kx) {
-                const std::size_t row = (ci * k + ky) * k + kx;
-                const float *crow = pc + row * ncols;
-                for (std::size_t ni = 0; ni < n; ++ni) {
-                    float *img = po + (ni * c + ci) * h * w;
+    // One (image, channel) plane per row: every input element sums its
+    // overlapping patch entries in (ky, kx, oy, ox) order, as the
+    // sequential channel-major loop did.
+    parallelRowBlocks(n * c, k * k * oh * ow,
+                      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t u = lo; u < hi; ++u) {
+            const std::size_t ni = u / c, ci = u % c;
+            float *img = po + u * h * w;
+            for (std::size_t ky = 0; ky < k; ++ky) {
+                for (std::size_t kx = 0; kx < k; ++kx) {
+                    const std::size_t row = (ci * k + ky) * k + kx;
+                    const float *crow = pc + row * ncols;
                     for (std::size_t oy = 0; oy < oh; ++oy) {
                         const std::ptrdiff_t iy =
                             static_cast<std::ptrdiff_t>(oy * spec.stride + ky)
@@ -221,7 +226,7 @@ col2im(const Tensor &cols, const Shape &input_shape, const Conv2dSpec &spec)
                 }
             }
         }
-    }
+    });
     return out;
 }
 
@@ -272,11 +277,13 @@ maxPool2d(const Tensor &input, const Conv2dSpec &spec)
     float *po = res.output.data();
     const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(spec.padding);
 
-    std::size_t out_idx = 0;
-    for (std::size_t ni = 0; ni < n; ++ni) {
-        for (std::size_t ci = 0; ci < c; ++ci) {
-            const float *img = pi + (ni * c + ci) * h * w;
-            const std::size_t img_base = (ni * c + ci) * h * w;
+    // One (image, channel) plane per row.
+    parallelRowBlocks(n * c, spec.kernel * spec.kernel * oh * ow,
+                      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t u = lo; u < hi; ++u) {
+            const float *img = pi + u * h * w;
+            const std::size_t img_base = u * h * w;
+            std::size_t out_idx = u * oh * ow;
             for (std::size_t oy = 0; oy < oh; ++oy) {
                 for (std::size_t ox = 0; ox < ow; ++ox, ++out_idx) {
                     float best = -std::numeric_limits<float>::infinity();
@@ -305,7 +312,7 @@ maxPool2d(const Tensor &input, const Conv2dSpec &spec)
                 }
             }
         }
-    }
+    });
     return res;
 }
 

@@ -381,6 +381,113 @@ TEST(ReCU, QuantileRejectsEmptyValuesAndBadQ)
     }
 }
 
+namespace {
+
+/** -0 sorts below +0, the order a radix select on float keys gives. */
+bool
+keyLess(float a, float b)
+{
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+}
+
+/** Quantile by the definition, on a fully sorted copy. */
+float
+sortedQuantile(const std::vector<float> &sorted, double q)
+{
+    const std::size_t n = sorted.size();
+    const double pos = q * static_cast<double>(n - 1);
+    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return static_cast<float>((1.0 - frac) * sorted[lo] + frac * sorted[hi]);
+}
+
+/** Same float, or (nth_element ties -0 with +0) both zero. */
+bool
+sameQuantile(float got, float want, bool exact_zero_sign)
+{
+    if (exact_zero_sign || want != 0.0f)
+        return std::memcmp(&got, &want, sizeof got) == 0;
+    return got == 0.0f;
+}
+
+} // namespace
+
+TEST(ReCU, QuantilePairMatchesSortReference)
+{
+    // Sizes on both sides of the radix cutoff (5000), one value, and
+    // enough values for several histogram chunks; values with heavy
+    // ties, -0 and +0, and infinities.
+    Rng rng(16);
+    for (const std::size_t n : {1u, 2u, 7u, 4999u, 5000u, 5001u, 65537u,
+                                300001u}) {
+        Tensor w({n});
+        for (std::size_t i = 0; i < n; ++i) {
+            switch (i % 5) {
+              case 0: w[i] = static_cast<float>(rng.randint(-2, 2)); break;
+              case 1: w[i] = rng.randint(0, 1) ? 0.0f : -0.0f; break;
+              case 2: w[i] = static_cast<float>(rng.normal()); break;
+              case 3: w[i] = static_cast<float>(rng.normal(0.0, 1e-3)); break;
+              default:
+                w[i] = i % 97 == 4 ? (rng.randint(0, 1) ? INFINITY
+                                                       : -INFINITY)
+                                   : static_cast<float>(rng.normal());
+            }
+        }
+        std::vector<float> sorted(w.data(), w.data() + n);
+        std::sort(sorted.begin(), sorted.end(), keyLess);
+        const bool radix = n >= 5000;
+        for (const double tau : {0.5, 0.85, 0.9, 0.99, 1.0}) {
+            const float want_hi = sortedQuantile(sorted, tau);
+            const float want_lo = sortedQuantile(sorted, 1.0 - tau);
+            EXPECT_TRUE(sameQuantile(quantile(w, tau), want_hi, radix))
+                << "n=" << n << " q=" << tau;
+            Tensor clamped = w;
+            const auto [lo, hi] = applyReCU(clamped, tau);
+            EXPECT_TRUE(sameQuantile(hi, want_hi, radix))
+                << "n=" << n << " tau=" << tau << ": " << hi << " vs "
+                << want_hi;
+            EXPECT_TRUE(sameQuantile(lo, want_lo, radix))
+                << "n=" << n << " tau=" << tau << ": " << lo << " vs "
+                << want_lo;
+            std::size_t moved = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const float want = std::max(std::min(w[i], hi), lo);
+                moved += std::memcmp(&clamped[i], &want, sizeof want) != 0;
+            }
+            EXPECT_EQ(moved, 0u) << "n=" << n << " tau=" << tau;
+        }
+    }
+}
+
+TEST(ReCU, NaNValuesAreACheckedErrorNamingTheIndex)
+{
+    // std::nth_element on NaN breaks strict weak ordering (undefined
+    // behaviour); both selection paths must refuse it instead.
+    for (const auto &[n, at] :
+         {std::pair<std::size_t, std::size_t>{6, 3}, {6000, 4321}}) {
+        Tensor w({n});
+        for (std::size_t i = 0; i < n; ++i)
+            w[i] = static_cast<float>(i % 11) - 5.0f;
+        w[at] = std::nanf("");
+        const std::string index = "[" + std::to_string(at) + "]";
+        try {
+            (void)quantile(w, 0.9);
+            FAIL() << "NaN accepted by quantile, n=" << n;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(index), std::string::npos)
+                << e.what();
+        }
+        try {
+            (void)applyReCU(w, 0.9);
+            FAIL() << "NaN accepted by applyReCU, n=" << n;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(index), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(ReCU, ClampRejectsTauOutsideHalfToOne)
 {
     for (const double tau : {0.4, 1.01, std::nan("")}) {

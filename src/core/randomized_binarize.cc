@@ -35,16 +35,16 @@ constexpr std::size_t kUnitElems = 256;
 /** Most units in one round: kRoundElems / kUnitElems (wide tiles fit fewer). */
 constexpr std::size_t kRoundUnits = kRoundElems / kUnitElems;
 
-/** Most row tiles: an element's p >= 1 count must fit 16 bits. */
-constexpr std::size_t kMaxTiles = 0xFFFF;
-
 /** parallelRowBlocks work units (multiply-adds) of one erf / exp. */
 constexpr std::size_t kErfWork = 32;
 
 /** parallelRowBlocks work units of one coded tile partial. */
 constexpr std::size_t kTileWork = 8;
 
-/** Bytes of slot codes one unit gathers at a time. */
+/**
+ * Bytes of slot codes one unit gathers at a time, and so the most row
+ * tiles forwardTiled takes (a fan-in of 65,536 at Cs 16).
+ */
 constexpr std::size_t kCodeBytes = 4096;
 
 /** Slot code of a partial the probability table does not hold. */
@@ -219,10 +219,10 @@ CellBinarize::forwardTiled(const Tensor &input, bool training)
             + std::to_string(tiles_->tilePartials().size())
             + " values, expected tileCount() * elements = "
             + std::to_string(t_count * e));
-    if (t_count == 0 || t_count > kMaxTiles)
+    if (t_count == 0 || t_count > kCodeBytes)
         throw std::logic_error(
             "CellBinarize::forwardTiled: " + std::to_string(t_count)
-            + " row tiles, outside [1, " + std::to_string(kMaxTiles) + "]");
+            + " row tiles, outside [1, " + std::to_string(kCodeBytes) + "]");
     const float *partials = tiles_->tilePartials().data();
     const std::size_t channels = input.dim(1);
     const std::size_t plane =
@@ -281,8 +281,8 @@ CellBinarize::forwardTiled(const Tensor &input, bool training)
     };
     const std::size_t unit =
         std::clamp<std::size_t>(kCodeBytes / t_count, 1, kUnitElems);
-    const std::size_t units_per_round = std::max<std::size_t>(
-        std::min(kRoundSlots / (unit * t_count), kRoundElems / unit), 1);
+    const std::size_t units_per_round =
+        std::min(kRoundSlots / (unit * t_count), kRoundElems / unit);
     const std::size_t round = units_per_round * unit;
     assert(units_per_round <= kRoundUnits && round * t_count <= kRoundSlots);
     std::uint8_t rec_slot[kRoundSlots], rec_elem[kRoundSlots];
@@ -308,12 +308,10 @@ CellBinarize::forwardTiled(const Tensor &input, bool training)
                 std::uint8_t *rs = rec_slot + j0 * tc;
                 std::uint8_t *re = rec_elem + j0 * tc;
                 // Codes tile-major, so each tile's partials are read
-                // contiguously; a one-element unit codes into its own
-                // records and compacts them in place.
-                std::uint8_t *codes = un == 1 ? rs : unit_codes;
+                // contiguously.
                 for (std::size_t t = 0; t < tc; ++t)
                     slotCodes(part + t * stride + j0, nj, rad,
-                              codes + t * nj);
+                              unit_codes + t * nj);
                 std::size_t c = (r0 + j0) / pl % nc, p = (r0 + j0) % pl;
                 std::size_t n = 0;
                 for (std::size_t j = 0; j < nj; ++j) {
@@ -322,7 +320,7 @@ CellBinarize::forwardTiled(const Tensor &input, bool training)
                     std::uint32_t ones = 0;
                     bool direct = false;
                     for (std::size_t t = 0; t < tc; ++t) {
-                        const std::uint8_t k = codes[t * nj + j];
+                        const std::uint8_t k = unit_codes[t * nj + j];
                         const std::uint8_t q = cls[k];
                         direct |= k == kNoSlot;
                         ones += q & kOne;
@@ -417,18 +415,13 @@ CellBinarize::backward(const Tensor &grad_output)
         if (tiles_ != nullptr)
             widths[c] = std::max(widths[c], 1.0);
     }
-    // One (sample, channel) plane per row; rank-2 planes are 1 element.
-    const Shape &shape = cachedInput.shape();
-    const std::size_t plane = shape.size() == 4 ? shape[2] * shape[3] : 1;
-    parallelRowBlocks(dx.size() / plane, plane * kErfWork,
-                      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t u = lo; u < hi; ++u) {
-            const double w = widths[u % shape[1]];
-            for (std::size_t i = u * plane; i < (u + 1) * plane; ++i) {
-                const double z = cachedInput[i] / w;
-                const double de = (2.0 / w) * std::exp(-M_PI * z * z);
-                dx[i] = grad_output[i] * static_cast<float>(de);
-            }
+    forEachPlane(cachedInput.shape(), kErfWork,
+                 [&](std::size_t lo, std::size_t hi, std::size_t c) {
+        const double w = widths[c];
+        for (std::size_t i = lo; i < hi; ++i) {
+            const double z = cachedInput[i] / w;
+            const double de = (2.0 / w) * std::exp(-M_PI * z * z);
+            dx[i] = grad_output[i] * static_cast<float>(de);
         }
     });
     return dx;

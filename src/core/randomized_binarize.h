@@ -95,7 +95,8 @@ class RandomizedBinarize : public nn::Module
  * The tile-aware forward computes every tile's probability on the
  * shared pool and then makes the Bernoulli draws on the calling thread,
  * element-major and tile by tile, so the Rng stream and the output bits
- * are the same at any pool size.
+ * are the same at any pool size. It takes at most 4096 row tiles (a
+ * fan-in of 65,536 at Cs 16) and throws std::logic_error beyond.
  */
 class CellBinarize : public nn::Module
 {

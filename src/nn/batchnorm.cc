@@ -49,24 +49,6 @@ BatchNorm::groupSize(const Shape &shape) const
     return shape[0] * shape[2] * shape[3];
 }
 
-/**
- * Run body(flat_begin, flat_end, c) over every (sample, channel) plane
- * of an (N,C) or (N,C,H,W) shape on the pool, each plane once; planes
- * of rank-2 shapes are single elements.
- */
-template <typename Fn>
-void
-forEachPlane(const Shape &shape, std::size_t work_per_element, Fn &&fn)
-{
-    const std::size_t ch = shape[1];
-    const std::size_t plane = shape.size() == 2 ? 1 : shape[2] * shape[3];
-    parallelRowBlocks(shape[0] * ch, plane * work_per_element,
-                      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t u = lo; u < hi; ++u)
-            fn(u * plane, (u + 1) * plane, u % ch);
-    });
-}
-
 Tensor
 BatchNorm::forward(const Tensor &input, bool training)
 {

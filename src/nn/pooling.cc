@@ -24,13 +24,11 @@ MaxPool2d::backward(const Tensor &grad_output)
     assert(!cachedIndices.empty());
     assert(grad_output.size() == cachedIndices.size());
     Tensor dx(cachedInputShape);
-    // Every window of an output plane lies in the same input plane, so
-    // planes scatter independently, each in output order.
-    const std::size_t planes = cachedInputShape[0] * cachedInputShape[1];
-    const std::size_t plane = grad_output.size() / planes;
-    parallelRowBlocks(planes, plane,
-                      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo * plane; i < hi * plane; ++i)
+    // maxPool2d keeps every index of an output plane inside the same
+    // input plane, so planes scatter independently, each in output order.
+    forEachPlane(grad_output.shape(), 1,
+                 [&](std::size_t lo, std::size_t hi, std::size_t) {
+        for (std::size_t i = lo; i < hi; ++i)
             dx[cachedIndices[i]] += grad_output[i];
     });
     return dx;

@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "tensor/tensor_ops.h"
-
 namespace superbnn::nn {
 
 namespace {
@@ -20,9 +18,6 @@ constexpr std::size_t kRadixMin = 5000;
 
 /** Buckets of the radix histogram: the top 16 bits of a key. */
 constexpr std::size_t kBuckets = std::size_t{1} << 16;
-
-/** Values per histogram chunk; each chunk counts into its own copy. */
-constexpr std::size_t kHistChunk = std::size_t{1} << 17;
 
 /** Buckets the rank scan sums at a time. */
 constexpr std::size_t kScanBlock = 64;
@@ -119,9 +114,8 @@ selectQuantile(const Tensor &values, const QuantileRanks &at)
 /**
  * out[r] = the value at 0-based rank ranks[r] of @p values in floatKey
  * order, for at most kMaxRanks strictly ascending ranks, by radix
- * select: chunks of the values count one histogram of their keys' top
- * 16 bits on the pool (rejecting NaN there, naming the first index;
- * the chunk counts are summed in chunk order), a scan finds each
+ * select: one pass counts a histogram of the keys' top 16 bits
+ * (throwing at the first NaN, naming its index), a scan finds each
  * rank's bucket, one pass copies the keys of those buckets, and each
  * rank is selected inside its bucket.
  */
@@ -133,33 +127,12 @@ radixSelect(const Tensor &values, const std::size_t *ranks,
     assert(count >= 1 && count <= kMaxRanks);
     const std::size_t n = values.size();
     const float *v = values.data();
-    const std::size_t chunks = (n + kHistChunk - 1) / kHistChunk;
-    std::vector<std::uint32_t> hist(chunks * kBuckets, 0);
-    std::vector<std::size_t> first_nan(chunks, n);
-    parallelRowBlocks(chunks, kHistChunk, [&](std::size_t lo,
-                                              std::size_t hi) {
-        for (std::size_t c = lo; c < hi; ++c) {
-            std::uint32_t *h = hist.data() + c * kBuckets;
-            const std::size_t end = std::min(n, (c + 1) * kHistChunk);
-            for (std::size_t i = c * kHistChunk; i < end; ++i) {
-                if (std::isnan(v[i])) {
-                    first_nan[c] = i;
-                    break;
-                }
-                ++h[floatKey(v[i]) >> 16];
-            }
-        }
-    });
-    for (const std::size_t i : first_nan)
-        if (i < n)
+    std::vector<std::uint32_t> hist(kBuckets, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (std::isnan(v[i]))
             throwNaN(who, what, i);
-    if (chunks > 1)
-        parallelRowBlocks(kBuckets, chunks,
-                          [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t c = 1; c < chunks; ++c)
-                for (std::size_t b = lo; b < hi; ++b)
-                    hist[b] += hist[c * kBuckets + b];
-        });
+        ++hist[floatKey(v[i]) >> 16];
+    }
 
     // Each rank's bucket and the count below it, skipping whole
     // kScanBlock runs of buckets while they end below the rank.

@@ -194,34 +194,33 @@ col2im(const Tensor &cols, const Shape &input_shape, const Conv2dSpec &spec)
     const float *pc = cols.data();
     const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(spec.padding);
 
-    // One (image, channel) plane per row: every input element sums its
+    // One (image, channel) plane per task: every input element sums its
     // overlapping patch entries in (ky, kx, oy, ox) order, as the
     // sequential channel-major loop did.
-    parallelRowBlocks(n * c, k * k * oh * ow,
-                      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t u = lo; u < hi; ++u) {
-            const std::size_t ni = u / c, ci = u % c;
-            float *img = po + u * h * w;
-            for (std::size_t ky = 0; ky < k; ++ky) {
-                for (std::size_t kx = 0; kx < k; ++kx) {
-                    const std::size_t row = (ci * k + ky) * k + kx;
-                    const float *crow = pc + row * ncols;
-                    for (std::size_t oy = 0; oy < oh; ++oy) {
-                        const std::ptrdiff_t iy =
-                            static_cast<std::ptrdiff_t>(oy * spec.stride + ky)
-                            - pad;
-                        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h))
+    const std::size_t work = (k * k * oh * ow + h * w - 1) / (h * w);
+    forEachPlane(input_shape, work,
+                 [&](std::size_t lo, std::size_t, std::size_t ci) {
+        const std::size_t ni = lo / (c * h * w);
+        float *img = po + lo;
+        for (std::size_t ky = 0; ky < k; ++ky) {
+            for (std::size_t kx = 0; kx < k; ++kx) {
+                const std::size_t row = (ci * k + ky) * k + kx;
+                const float *crow = pc + row * ncols;
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    const std::ptrdiff_t iy =
+                        static_cast<std::ptrdiff_t>(oy * spec.stride + ky)
+                        - pad;
+                    if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h))
+                        continue;
+                    const std::size_t base = (ni * oh + oy) * ow;
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        const std::ptrdiff_t ix =
+                            static_cast<std::ptrdiff_t>(
+                                ox * spec.stride + kx) - pad;
+                        if (ix < 0 ||
+                            ix >= static_cast<std::ptrdiff_t>(w))
                             continue;
-                        const std::size_t base = (ni * oh + oy) * ow;
-                        for (std::size_t ox = 0; ox < ow; ++ox) {
-                            const std::ptrdiff_t ix =
-                                static_cast<std::ptrdiff_t>(
-                                    ox * spec.stride + kx) - pad;
-                            if (ix < 0 ||
-                                ix >= static_cast<std::ptrdiff_t>(w))
-                                continue;
-                            img[iy * w + ix] += crow[base + ox];
-                        }
+                        img[iy * w + ix] += crow[base + ox];
                     }
                 }
             }
@@ -277,39 +276,40 @@ maxPool2d(const Tensor &input, const Conv2dSpec &spec)
     float *po = res.output.data();
     const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(spec.padding);
 
-    // One (image, channel) plane per row.
-    parallelRowBlocks(n * c, spec.kernel * spec.kernel * oh * ow,
-                      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t u = lo; u < hi; ++u) {
-            const float *img = pi + u * h * w;
-            const std::size_t img_base = u * h * w;
-            std::size_t out_idx = u * oh * ow;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-                for (std::size_t ox = 0; ox < ow; ++ox, ++out_idx) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    std::size_t best_idx = 0;
-                    for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
-                        const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(
-                            oy * spec.stride + ky) - pad;
-                        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h))
+    // One (image, channel) plane per task. A window with no value above
+    // -inf (all NaN or -inf, or wholly in padding) points at its plane's
+    // first element, so every index stays inside its own plane.
+    forEachPlane(res.output.shape(), spec.kernel * spec.kernel,
+                 [&](std::size_t lo, std::size_t, std::size_t) {
+        const std::size_t u = lo / (oh * ow);
+        const float *img = pi + u * h * w;
+        const std::size_t img_base = u * h * w;
+        std::size_t out_idx = lo;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            for (std::size_t ox = 0; ox < ow; ++ox, ++out_idx) {
+                float best = -std::numeric_limits<float>::infinity();
+                std::size_t best_idx = img_base;
+                for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
+                    const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(
+                        oy * spec.stride + ky) - pad;
+                    if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h))
+                        continue;
+                    for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
+                        const std::ptrdiff_t ix =
+                            static_cast<std::ptrdiff_t>(
+                                ox * spec.stride + kx) - pad;
+                        if (ix < 0 ||
+                            ix >= static_cast<std::ptrdiff_t>(w))
                             continue;
-                        for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
-                            const std::ptrdiff_t ix =
-                                static_cast<std::ptrdiff_t>(
-                                    ox * spec.stride + kx) - pad;
-                            if (ix < 0 ||
-                                ix >= static_cast<std::ptrdiff_t>(w))
-                                continue;
-                            const float v = img[iy * w + ix];
-                            if (v > best) {
-                                best = v;
-                                best_idx = img_base + iy * w + ix;
-                            }
+                        const float v = img[iy * w + ix];
+                        if (v > best) {
+                            best = v;
+                            best_idx = img_base + iy * w + ix;
                         }
                     }
-                    po[out_idx] = best;
-                    res.indices[out_idx] = best_idx;
                 }
+                po[out_idx] = best;
+                res.indices[out_idx] = best_idx;
             }
         }
     });

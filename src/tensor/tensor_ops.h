@@ -43,6 +43,25 @@ void parallelRowBlocks(
     const std::function<void(std::size_t, std::size_t)> &body);
 
 /**
+ * Run fn(begin, end, c) over every (sample, channel) plane of an (N, C)
+ * or (N, C, H, W) shape through parallelRowBlocks, each plane whole
+ * inside one task: [begin, end) are the plane's flat indices and c its
+ * channel. Planes of rank-2 shapes are single elements.
+ */
+template <typename Fn>
+void
+forEachPlane(const Shape &shape, std::size_t work_per_element, Fn &&fn)
+{
+    const std::size_t ch = shape[1];
+    const std::size_t plane = shape.size() == 2 ? 1 : shape[2] * shape[3];
+    parallelRowBlocks(shape[0] * ch, plane * work_per_element,
+                      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t u = lo; u < hi; ++u)
+            fn(u * plane, (u + 1) * plane, u % ch);
+    });
+}
+
+/**
  * Matrix product C = A * B for 2-D tensors.
  * A is (m, k), B is (k, n); returns (m, n).
  *

@@ -361,8 +361,8 @@ TEST(CellBinarizeTiled, MatchesPerElementLoopBitsAndDraws)
     // More elements than one round holds (rounds bound the scratch).
     cases.push_back({{97, 61}, 70, true});
     cases.push_back({{2, 3, 120, 100}, 1, false});
-    // More tiles than a task's code buffer holds for two elements.
-    cases.push_back({{3, 5}, 9000, true});
+    // As many tiles as a task's code buffer holds: one element a unit.
+    cases.push_back({{3, 5}, 4096, true});
     for (const char *threads : {"1", "4"}) {
         const test_util::ScopedThreads scope(threads);
         std::uint64_t seed = 100;
@@ -440,5 +440,24 @@ TEST(CellBinarizeTiled, PartialCountMismatchIsACheckedError)
         const std::string what = e.what();
         EXPECT_NE(what.find("20"), std::string::npos) << what;
         EXPECT_NE(what.find("24"), std::string::npos) << what;
+    }
+}
+
+TEST(CellBinarizeTiled, MoreThan4096TilesIsACheckedError)
+{
+    Rng rng(14);
+    const auto model = atten();
+    auto bn = makeBn(2, {1.0f, 1.0f}, {0.0f, 0.0f}, {0.0f, 0.0f},
+                     {1.0f, 1.0f});
+    nn::Parameter alpha(Tensor({2}, 1.0f));
+    const FixedPartials source(4097, 1, Tensor({4097, 2}));
+    CellBinarize layer(AqfpBehavior{16, 2.4, 0.0}, model, rng, &bn, &alpha,
+                       &source);
+    try {
+        (void)layer.forward(Tensor({1, 2}), false);
+        FAIL() << "4097 row tiles accepted";
+    } catch (const std::logic_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("4097"), std::string::npos) << what;
     }
 }

@@ -6,11 +6,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/pooling.h"
 #include "scoped_threads.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -457,6 +459,56 @@ TEST(Pooling, MaxPoolOnBipolarValuesActsAsOr)
     EXPECT_EQ(res.output[0], 1.0f);
     Tensor all_neg({1, 1, 2, 2}, -1.0f);
     EXPECT_EQ(maxPool2d(all_neg, {2, 2, 0}).output[0], -1.0f);
+}
+
+TEST(Pooling, WindowWithoutAMaximumStaysInItsPlane)
+{
+    // Windows with no value above -inf: all NaN, all -inf, or wholly in
+    // padding. Each must record an index inside its own plane, so the
+    // per-plane backward scatter touches nothing else.
+    Tensor padded({1, 2, 4, 4}, 1.0f);
+    const MaxPoolResult pres = maxPool2d(padded, {2, 2, 2});
+    for (std::size_t o = 0; o < pres.indices.size(); ++o)
+        EXPECT_EQ(pres.indices[o] / 16, o / 16) << "output " << o;
+
+    const std::size_t n = 4, c = 32, h = 64, w = 64, plane = h * w;
+    const std::size_t nan_plane = 37, inf_plane = 70;
+    Rng rng(5);
+    Tensor x = Tensor::randn({n, c, h, w}, rng);
+    for (std::size_t i = 0; i < plane; ++i) {
+        x[nan_plane * plane + i] = std::numeric_limits<float>::quiet_NaN();
+        x[inf_plane * plane + i] = -std::numeric_limits<float>::infinity();
+    }
+    for (const char *threads : test_util::kPoolSizes) {
+        const test_util::ScopedThreads scope(threads);
+        const MaxPoolResult res = maxPool2d(x, {2, 2, 0});
+        const std::size_t out_plane = res.output.size() / (n * c);
+        for (std::size_t o = 0; o < res.indices.size(); ++o)
+            ASSERT_EQ(res.indices[o] / plane, o / out_plane)
+                << "output " << o << " @ " << threads;
+
+        // Gradient only on the two windowless planes.
+        nn::MaxPool2d pool(2, 2);
+        const Tensor y = pool.forward(x, true);
+        Tensor g(y.shape());
+        for (std::size_t i = 0; i < out_plane; ++i) {
+            g[nan_plane * out_plane + i] = 1.0f;
+            g[inf_plane * out_plane + i] = 1.0f;
+        }
+        const Tensor dx = pool.backward(g);
+        double in_planes = 0.0;
+        std::size_t stray = 0;
+        for (std::size_t i = 0; i < dx.size(); ++i) {
+            const std::size_t u = i / plane;
+            if (u == nan_plane || u == inf_plane)
+                in_planes += dx[i];
+            else
+                stray += dx[i] != 0.0f;
+        }
+        EXPECT_EQ(stray, 0u) << "@ " << threads;
+        EXPECT_EQ(in_planes, 2.0 * static_cast<double>(out_plane))
+            << "@ " << threads;
+    }
 }
 
 // --- softmax ---

@@ -6,6 +6,24 @@
 
 namespace superbnn::core {
 
+Tensor
+BnnModel::forward(const Tensor &input, bool training)
+{
+    return net.forward(input, training);
+}
+
+void
+BnnModel::backward(const Tensor &grad_output)
+{
+    net.backwardParameters(grad_output);
+}
+
+std::vector<nn::Parameter *>
+BnnModel::parameters()
+{
+    return net.parameters();
+}
+
 RandomizedMlp::RandomizedMlp(std::size_t input_dim,
                              const std::vector<std::size_t> &hidden,
                              std::size_t classes,
@@ -29,7 +47,7 @@ RandomizedMlp::RandomizedMlp(std::size_t input_dim,
         auto &bn = net.emplace<nn::BatchNorm>(width);
         if (mode == BinarizeMode::Randomized) {
             net.emplace<CellBinarize>(behavior, atten, rng, &bn,
-                                      &lin.alpha(), &lin);
+                                      &lin.alpha(), lin);
         } else {
             net.emplace<nn::HardTanh>();
             net.emplace<nn::SignSTE>();
@@ -45,24 +63,6 @@ RandomizedMlp::RandomizedMlp(std::size_t input_dim,
         net.emplace<HeadReadout>(behavior, atten, headLayer,
                                  &headLayer->alpha(), tile);
     }
-}
-
-Tensor
-RandomizedMlp::forward(const Tensor &input, bool training)
-{
-    return net.forward(input, training);
-}
-
-Tensor
-RandomizedMlp::backward(const Tensor &grad_output)
-{
-    return net.backward(grad_output);
-}
-
-std::vector<nn::Parameter *>
-RandomizedMlp::parameters()
-{
-    return net.parameters();
 }
 
 std::vector<Tensor *>
@@ -101,7 +101,7 @@ RandomizedCnn::RandomizedCnn(const Config &config,
         auto &bn = net.emplace<nn::BatchNorm>(out_ch);
         if (mode == BinarizeMode::Randomized) {
             net.emplace<CellBinarize>(behavior, atten, rng, &bn,
-                                      &conv.alpha(), &conv);
+                                      &conv.alpha(), conv);
         } else {
             net.emplace<nn::HardTanh>();
             net.emplace<nn::SignSTE>();
@@ -121,24 +121,6 @@ RandomizedCnn::RandomizedCnn(const Config &config,
         net.emplace<HeadReadout>(behavior, atten, headLayer,
                                  &headLayer->alpha(), tile);
     }
-}
-
-Tensor
-RandomizedCnn::forward(const Tensor &input, bool training)
-{
-    return net.forward(input, training);
-}
-
-Tensor
-RandomizedCnn::backward(const Tensor &grad_output)
-{
-    return net.backward(grad_output);
-}
-
-std::vector<nn::Parameter *>
-RandomizedCnn::parameters()
-{
-    return net.parameters();
 }
 
 std::vector<Tensor *>

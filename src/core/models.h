@@ -35,21 +35,36 @@ enum class BinarizeMode
 };
 
 /**
- * Common interface of trainable BNN models.
+ * Common base of trainable BNN models: a layer sequence that the
+ * concrete model builds in its constructor.
  */
 class BnnModel
 {
   public:
     virtual ~BnnModel() = default;
 
-    virtual Tensor forward(const Tensor &input, bool training) = 0;
-    virtual Tensor backward(const Tensor &grad_output) = 0;
-    virtual std::vector<nn::Parameter *> parameters() = 0;
+    Tensor forward(const Tensor &input, bool training);
+
+    /**
+     * Accumulates every parameter's gradient from dL/d(logits). The
+     * gradient with respect to the network input is never formed: the
+     * reverse walk ends at the first layer with parameters
+     * (nn::Sequential::backwardParameters).
+     */
+    void backward(const Tensor &grad_output);
+
+    std::vector<nn::Parameter *> parameters();
+
+    /** The layer sequence, input first. */
+    nn::Sequential &network() { return net; }
 
     /** Real-valued shadow weights of the binary layers (ReCU targets). */
     virtual std::vector<Tensor *> binaryWeightTensors() = 0;
 
     virtual std::string name() const = 0;
+
+  protected:
+    nn::Sequential net;
 };
 
 /** One MLP cell as seen by the hardware mapper. */
@@ -83,9 +98,6 @@ class RandomizedMlp : public BnnModel
                   const aqfp::AttenuationModel &atten, Rng &rng,
                   BinarizeMode mode = BinarizeMode::Randomized);
 
-    Tensor forward(const Tensor &input, bool training) override;
-    Tensor backward(const Tensor &grad_output) override;
-    std::vector<nn::Parameter *> parameters() override;
     std::vector<Tensor *> binaryWeightTensors() override;
     std::string name() const override { return "RandomizedMlp"; }
 
@@ -95,7 +107,6 @@ class RandomizedMlp : public BnnModel
     BinarizeMode mode() const { return mode_; }
 
   private:
-    nn::Sequential net;
     std::vector<MlpCellRef> cellRefs;
     nn::BinaryLinear *headLayer = nullptr;
     BinarizeMode mode_;
@@ -135,9 +146,6 @@ class RandomizedCnn : public BnnModel
                   const aqfp::AttenuationModel &atten, Rng &rng,
                   BinarizeMode mode = BinarizeMode::Randomized);
 
-    Tensor forward(const Tensor &input, bool training) override;
-    Tensor backward(const Tensor &grad_output) override;
-    std::vector<nn::Parameter *> parameters() override;
     std::vector<Tensor *> binaryWeightTensors() override;
     std::string name() const override { return "RandomizedCnn"; }
 
@@ -149,7 +157,6 @@ class RandomizedCnn : public BnnModel
 
   private:
     Config cfg;
-    nn::Sequential net;
     std::vector<ConvCellRef> cellRefs;
     nn::BinaryLinear *headLayer = nullptr;
     BinarizeMode mode_;

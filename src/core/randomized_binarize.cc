@@ -23,10 +23,10 @@ constexpr double kSqrtPi = 1.7724538509055160273;
  */
 constexpr std::size_t kTableRadius = 127;
 
-/** Elements per forwardTiled round. */
+/** Elements per CellBinarize::forward round. */
 constexpr std::size_t kRoundElems = std::size_t{1} << 14;
 
-/** Draw records (element x tile slots) per forwardTiled round. */
+/** Draw records (element x tile slots) per CellBinarize::forward round. */
 constexpr std::size_t kRoundSlots = std::size_t{1} << 16;
 
 /** Most elements in one unit, so a record's element fits a byte. */
@@ -43,7 +43,7 @@ constexpr std::size_t kTileWork = 8;
 
 /**
  * Bytes of slot codes one unit gathers at a time, and so the most row
- * tiles forwardTiled takes (a fan-in of 65,536 at Cs 16).
+ * tiles CellBinarize::forward takes (a fan-in of 65,536 at Cs 16).
  */
 constexpr std::size_t kCodeBytes = 4096;
 
@@ -95,60 +95,13 @@ atLeast(std::vector<T> &v, std::size_t n)
 
 } // namespace
 
-RandomizedBinarize::RandomizedBinarize(const AqfpBehavior &behavior,
-                                       const aqfp::AttenuationModel &atten,
-                                       Rng &rng, bool sample_in_eval)
-    : deltaVin_(behavior.deltaVin(atten)), vth_(behavior.vth), rng_(&rng),
-      sampleInEval(sample_in_eval)
-{
-    assert(deltaVin_ > 0.0);
-}
-
-double
-RandomizedBinarize::probPlusOne(double ar) const
-{
-    return 0.5 + 0.5 * std::erf(kSqrtPi * (ar - vth_) / deltaVin_);
-}
-
-Tensor
-RandomizedBinarize::forward(const Tensor &input, bool training)
-{
-    if (training)
-        cachedInput = input;
-    Tensor out(input.shape());
-    const bool sample = training || sampleInEval;
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        const double p = probPlusOne(input[i]);
-        if (sample) {
-            out[i] = rng_->bernoulli(p) ? 1.0f : -1.0f;
-        } else {
-            out[i] = p >= 0.5 ? 1.0f : -1.0f;
-        }
-    }
-    return out;
-}
-
-Tensor
-RandomizedBinarize::backward(const Tensor &grad_output)
-{
-    assert(!cachedInput.empty());
-    assert(grad_output.shape() == cachedInput.shape());
-    Tensor dx(grad_output.shape());
-    for (std::size_t i = 0; i < dx.size(); ++i) {
-        const double z = (cachedInput[i] - vth_) / deltaVin_;
-        const double de = (2.0 / deltaVin_) * std::exp(-M_PI * z * z);
-        dx[i] = grad_output[i] * static_cast<float>(de);
-    }
-    return dx;
-}
-
 CellBinarize::CellBinarize(const AqfpBehavior &behavior,
                            const aqfp::AttenuationModel &atten, Rng &rng,
                            const nn::BatchNorm *bn,
                            const nn::Parameter *alpha,
-                           const nn::TilePartialSource *tiles)
+                           const nn::TilePartialSource &tiles)
     : deltaVin_(behavior.deltaVin(atten)), rng_(&rng), bn_(bn),
-      alpha_(alpha), tiles_(tiles)
+      alpha_(alpha), tiles_(&tiles)
 {
     assert(deltaVin_ > 0.0);
     assert(bn_ != nullptr && alpha_ != nullptr);
@@ -172,25 +125,16 @@ CellBinarize::channelWidth(std::size_t c) const
     return std::max(k, 1e-8) * deltaVin_;
 }
 
-std::size_t
-CellBinarize::channelOf(const Shape &shape, std::size_t flat) const
-{
-    if (shape.size() == 2)
-        return flat % shape[1];
-    const std::size_t plane = shape[2] * shape[3];
-    return (flat / plane) % shape[1];
-}
-
 Tensor
-CellBinarize::forwardTiled(const Tensor &input, bool training)
+CellBinarize::forward(const Tensor &input, bool training)
 {
-    // Exact hardware semantics: fold the BN into per-channel thresholds
-    // (Eq. 16), divide each threshold evenly over the row tiles, sample
-    // each tile neuron's stochastic bit from its own partial sum, and
-    // take the SC accumulation module's majority decision; gamma < 0
-    // inverts the output (Eq. 15). During training the fold uses the
-    // current batch statistics (what the BN layer itself just used);
-    // inference uses the running statistics programmed into Ith.
+    assert(input.rank() == 2 || input.rank() == 4);
+    assert(input.dim(1) == bn_->channels());
+    if (training)
+        cachedInput = input;
+    // During training the fold uses the current batch statistics (what
+    // the BN layer itself just used); inference uses the running
+    // statistics programmed into Ith.
     FoldedBn folded;
     if (training && bn_->hasBatchStats()) {
         const std::size_t channels = bn_->channels();
@@ -215,13 +159,13 @@ CellBinarize::forwardTiled(const Tensor &input, bool training)
     const std::size_t e = input.size();
     if (tiles_->tilePartials().size() != t_count * e)
         throw std::logic_error(
-            "CellBinarize::forwardTiled: the tile partials hold "
+            "CellBinarize::forward: the tile partials hold "
             + std::to_string(tiles_->tilePartials().size())
             + " values, expected tileCount() * elements = "
             + std::to_string(t_count * e));
     if (t_count == 0 || t_count > kCodeBytes)
         throw std::logic_error(
-            "CellBinarize::forwardTiled: " + std::to_string(t_count)
+            "CellBinarize::forward: " + std::to_string(t_count)
             + " row tiles, outside [1, " + std::to_string(kCodeBytes) + "]");
     const float *partials = tiles_->tilePartials().data();
     const std::size_t channels = input.dim(1);
@@ -377,44 +321,19 @@ CellBinarize::forwardTiled(const Tensor &input, bool training)
 }
 
 Tensor
-CellBinarize::forward(const Tensor &input, bool training)
-{
-    assert(input.rank() == 2 || input.rank() == 4);
-    assert(input.dim(1) == bn_->channels());
-    if (training)
-        cachedInput = input;
-    if (tiles_ != nullptr)
-        return forwardTiled(input, training);
-    Tensor out(input.shape());
-    std::vector<double> widths(bn_->channels());
-    for (std::size_t c = 0; c < widths.size(); ++c)
-        widths[c] = channelWidth(c);
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        const double w = widths[channelOf(input.shape(), i)];
-        const double p =
-            0.5 + 0.5 * std::erf(kSqrtPi * input[i] / w);
-        out[i] = rng_->bernoulli(p) ? 1.0f : -1.0f;
-    }
-    return out;
-}
-
-Tensor
 CellBinarize::backward(const Tensor &grad_output)
 {
     assert(!cachedInput.empty());
     assert(grad_output.shape() == cachedInput.shape());
     Tensor dx(grad_output.shape());
     std::vector<double> widths(bn_->channels());
-    for (std::size_t c = 0; c < widths.size(); ++c) {
-        widths[c] = channelWidth(c);
-        // In tile-aware mode the decision is a majority over row tiles;
-        // its transition width in the BN-output domain is set by the
-        // tile-sum dispersion (O(1) after normalization), not by the
-        // single-buffer gray zone. Flooring the surrogate width at 1
-        // keeps gradients alive across the realistic operating range.
-        if (tiles_ != nullptr)
-            widths[c] = std::max(widths[c], 1.0);
-    }
+    // The decision is a majority over row tiles; its transition width
+    // in the BN-output domain is set by the tile-sum dispersion (O(1)
+    // after normalization), not by the single-buffer gray zone.
+    // Flooring the surrogate width at 1 keeps gradients alive across
+    // the realistic operating range.
+    for (std::size_t c = 0; c < widths.size(); ++c)
+        widths[c] = std::max(channelWidth(c), 1.0);
     forEachPlane(cachedInput.shape(), kErfWork,
                  [&](std::size_t lo, std::size_t hi, std::size_t c) {
         const double w = widths[c];

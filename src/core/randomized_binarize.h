@@ -1,18 +1,21 @@
 /**
  * @file
- * AQFP randomized-aware activation binarization (paper Section 5.1,
- * Eq. 3, 7 and 10) — the heart of the SupeRBNN training algorithm.
+ * AQFP randomized-aware binarization (paper Section 5.1, Eq. 3, 7 and
+ * 10): the layers through which SupeRBNN trains against the stochastic
+ * function the hardware computes.
  *
- * Forward: each latent activation binarizes stochastically,
- *   ab = +1 with probability Pv(ar) = 0.5 + 0.5 erf(sqrt(pi)(ar - Vth)
- *        / deltaVin(Cs)), else -1,
- * exactly mirroring the AQFP neuron's gray-zone behaviour mapped into the
- * value domain through the crossbar attenuation I1(Cs).
- *
- * Backward: the probability function replaces the hard sign, so instead
- * of a piecewise STE surrogate, the gradient uses the expectation
- *   E[ab] = erf(sqrt(pi)(ar - Vth) / deltaVin),
- *   dE/dar = (2 / deltaVin) exp(-pi ((ar - Vth)/deltaVin)^2).
+ * An AQFP neuron fed a column current in its gray zone fires +1 with
+ * probability
+ *   Pv(s) = 0.5 + 0.5 erf(sqrt(pi) (s - vth) / deltaVin(Cs)),
+ * where s is the neuron's own partial sum and deltaVin is the gray-zone
+ * width mapped into the value domain through the crossbar attenuation
+ * I1(Cs) (Eq. 4). CellBinarize runs that function for every hidden
+ * cell (one neuron per row tile, then the SC majority); HeadReadout
+ * trains the classifier head on the APC count the hardware reads out.
+ * Backward passes replace the sampled bit with its expectation
+ * E[ab] = erf(...), whose derivative
+ *   dE/ds = (2 / w) exp(-pi (s / w)^2)
+ * (with a widened w, see each layer) is the surrogate gradient.
  */
 
 #ifndef SUPERBNN_CORE_RANDOMIZED_BINARIZE_H
@@ -32,7 +35,7 @@ struct AqfpBehavior
 {
     double crossbarSize = 16;   ///< Cs used for deltaVin(Cs)
     double deltaIinUa = 2.4;    ///< gray-zone width (uA)
-    double vth = 0.0;           ///< value-domain threshold
+    double vth = 0.0;           ///< unread: cells fold theirs from BN
 
     /** Value-domain gray-zone width via the attenuation model (Eq. 4). */
     double
@@ -43,60 +46,31 @@ struct AqfpBehavior
 };
 
 /**
- * The randomized binarization layer.
- */
-class RandomizedBinarize : public nn::Module
-{
-  public:
-    /**
-     * @param behavior  hardware configuration to model
-     * @param atten     attenuation model supplying I1(Cs)
-     * @param rng       noise source (kept by reference; must outlive)
-     * @param sample_in_eval  if true (default) inference also samples,
-     *        matching the physical device; if false inference uses the
-     *        deterministic sign of the expectation (debug/ablation)
-     */
-    RandomizedBinarize(const AqfpBehavior &behavior,
-                       const aqfp::AttenuationModel &atten, Rng &rng,
-                       bool sample_in_eval = true);
-
-    Tensor forward(const Tensor &input, bool training) override;
-    Tensor backward(const Tensor &grad_output) override;
-    std::string name() const override { return "RandomizedBinarize"; }
-
-    /** Probability of +1 for a latent value (Eq. 3). */
-    double probPlusOne(double ar) const;
-
-    double deltaVin() const { return deltaVin_; }
-    double vth() const { return vth_; }
-
-  private:
-    double deltaVin_;
-    double vth_;
-    Rng *rng_;
-    bool sampleInEval;
-    Tensor cachedInput;
-};
-
-/**
  * Cell-level randomized binarization placed after a BinaryLinear/Conv +
- * BatchNorm pair (the converted AQFP cell of Fig. 8b).
+ * BatchNorm pair (the converted AQFP cell of Fig. 8b): the stochastic
+ * forward function the deployed hardware runs.
  *
- * The hardware applies the gray-zone probability to the raw column sum s
- * shifted by the folded threshold (Eq. 14); for gamma < 0 the decision
- * flips (Eq. 15). The BN output equals xbn = k_c (s - vth_c) with
- * k_c = gamma_c alpha_c / sqrt(var_c + eps), so the hardware's flipped
- * probability is, in the BN-output domain, always "fire +1 iff xbn > 0"
- * with transition width |k_c| * deltaVin. Sampling on xbn with that
- * width therefore reproduces the hardware exactly for either sign of
- * gamma. HardTanh is absorbed: it only reshapes amplitudes already deep
- * in the deterministic region of the gray-zone.
+ * Forward: the BN folds into a per-channel threshold on the raw sum
+ * (Eq. 16), split evenly over the preceding layer's row tiles; each
+ * tile neuron fires +1 with probability Pv of its own partial sum, the
+ * SC accumulation module takes the majority over tiles (Fig. 6b), and
+ * gamma < 0 inverts the result (Eq. 15). Training folds the batch
+ * statistics the BN layer just used; inference folds the running ones
+ * programmed into Ith. HardTanh is absorbed: it only reshapes
+ * amplitudes already deep in the deterministic region of the gray zone.
  *
- * The tile-aware forward computes every tile's probability on the
- * shared pool and then makes the Bernoulli draws on the calling thread,
- * element-major and tile by tile, so the Rng stream and the output bits
- * are the same at any pool size. It takes at most 4096 row tiles (a
- * fan-in of 65,536 at Cs 16) and throws std::logic_error beyond.
+ * Backward: the erf surrogate on the BN output xbn = k_c (s - vth_c),
+ * k_c = gamma_c alpha_c / sqrt(var_c + eps). The cell fires +1 iff
+ * xbn > 0 for either sign of gamma, with transition width
+ * channelWidth(c) = |k_c| deltaVin, floored at 1 because the majority's
+ * transition is set by the tile-sum dispersion (O(1) after
+ * normalization), not by one buffer's gray zone.
+ *
+ * The forward computes every tile's probability on the shared pool and
+ * then makes the Bernoulli draws on the calling thread, element-major
+ * and tile by tile, so the Rng stream and the output bits are the same
+ * at any pool size. It takes at most 4096 row tiles (a fan-in of
+ * 65,536 at Cs 16) and throws std::logic_error beyond.
  */
 class CellBinarize : public nn::Module
 {
@@ -108,17 +82,12 @@ class CellBinarize : public nn::Module
      * @param bn        the cell's batch-norm layer (read-only borrow)
      * @param alpha     the preceding binary layer's scaling parameter
      * @param tiles     per-tile partial-sum source of the preceding
-     *                  binary layer; when given, the forward pass runs
-     *                  the exact hardware function (per-tile stochastic
-     *                  bits + majority vote across row tiles, Fig. 6b)
-     *                  instead of the column-level approximation, while
-     *                  the backward pass keeps the erf surrogate on the
-     *                  BN output
+     *                  binary layer (read-only borrow)
      */
     CellBinarize(const AqfpBehavior &behavior,
                  const aqfp::AttenuationModel &atten, Rng &rng,
                  const nn::BatchNorm *bn, const nn::Parameter *alpha,
-                 const nn::TilePartialSource *tiles = nullptr);
+                 const nn::TilePartialSource &tiles);
 
     Tensor forward(const Tensor &input, bool training) override;
     Tensor backward(const Tensor &grad_output) override;
@@ -129,9 +98,6 @@ class CellBinarize : public nn::Module
 
     double deltaVin() const { return deltaVin_; }
 
-    /** True when the exact tile-level hardware function is simulated. */
-    bool tileAware() const { return tiles_ != nullptr; }
-
   private:
     double deltaVin_;
     Rng *rng_;
@@ -140,15 +106,10 @@ class CellBinarize : public nn::Module
     const nn::TilePartialSource *tiles_;
     Tensor cachedInput;
 
-    // forwardTiled's per-channel tables: sized by the widest call so
+    // forward's per-channel tables: sized by the widest call so
     // far and reused, so a steady training loop allocates neither.
     std::vector<double> probTable_;          ///< [channel][partial slot]
     std::vector<std::uint8_t> slotClass_;    ///< [channel][slot code]
-
-    std::size_t channelOf(const Shape &shape, std::size_t flat) const;
-
-    /** Tile-level forward: per-tile stochastic bits, majority vote. */
-    Tensor forwardTiled(const Tensor &input, bool training);
 };
 
 /**

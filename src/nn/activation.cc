@@ -1,5 +1,7 @@
 #include "nn/activation.h"
 
+#include "tensor/tensor_ops.h"
+
 namespace superbnn::nn {
 
 Tensor
@@ -29,35 +31,11 @@ HardTanh::backward(const Tensor &grad_output)
 }
 
 Tensor
-ReLU::forward(const Tensor &input, bool training)
-{
-    if (training)
-        cachedInput = input;
-    Tensor out(input.shape());
-    for (std::size_t i = 0; i < input.size(); ++i)
-        out[i] = input[i] > 0.0f ? input[i] : 0.0f;
-    return out;
-}
-
-Tensor
-ReLU::backward(const Tensor &grad_output)
-{
-    assert(!cachedInput.empty());
-    Tensor dx(grad_output.shape());
-    for (std::size_t i = 0; i < dx.size(); ++i)
-        dx[i] = cachedInput[i] > 0.0f ? grad_output[i] : 0.0f;
-    return dx;
-}
-
-Tensor
 SignSTE::forward(const Tensor &input, bool training)
 {
     if (training)
         cachedInput = input;
-    Tensor out(input.shape());
-    for (std::size_t i = 0; i < input.size(); ++i)
-        out[i] = input[i] >= 0.0f ? 1.0f : -1.0f;
-    return out;
+    return signOf(input);
 }
 
 Tensor

@@ -1,8 +1,8 @@
 /**
  * @file
  * Pointwise activation layers: HardTanh (the BNN cell's activation,
- * Fig. 8a), ReLU (float baselines), and deterministic Sign binarization
- * with the straight-through estimator (Eq. 6/9).
+ * Fig. 8a) and deterministic Sign binarization with the
+ * straight-through estimator (Eq. 6/9).
  */
 
 #ifndef SUPERBNN_NN_ACTIVATION_H
@@ -19,18 +19,6 @@ class HardTanh : public Module
     Tensor forward(const Tensor &input, bool training) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string name() const override { return "HardTanh"; }
-
-  private:
-    Tensor cachedInput;
-};
-
-/** Rectified linear unit. */
-class ReLU : public Module
-{
-  public:
-    Tensor forward(const Tensor &input, bool training) override;
-    Tensor backward(const Tensor &grad_output) override;
-    std::string name() const override { return "ReLU"; }
 
   private:
     Tensor cachedInput;

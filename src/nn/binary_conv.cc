@@ -2,22 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace superbnn::nn {
-
-namespace {
-
-Tensor
-signOf(const Tensor &w)
-{
-    Tensor out(w.shape());
-    for (std::size_t i = 0; i < w.size(); ++i)
-        out[i] = w[i] >= 0.0f ? 1.0f : -1.0f;
-    return out;
-}
-
-} // namespace
 
 BinaryConv2d::BinaryConv2d(std::size_t in_channels,
                            std::size_t out_channels, std::size_t kernel,
@@ -52,18 +38,6 @@ BinaryConv2d::signedWeightMatrix() const
 {
     const std::size_t patch = inC * spec_.kernel * spec_.kernel;
     return signOf(weight_.value.reshaped({outC, patch}));
-}
-
-std::vector<Tensor>
-BinaryConv2d::forwardBatch(const std::vector<Tensor> &samples,
-                           bool training)
-{
-    for (const Tensor &s : samples)
-        if (s.rank() != 4 || s.dim(0) != 1 || s.dim(1) != inC)
-            throw std::invalid_argument(
-                "BinaryConv2d::forwardBatch: every sample must be a "
-                "(1, C, H, W) image");
-    return Module::forwardBatch(samples, training);
 }
 
 Tensor
@@ -104,6 +78,20 @@ BinaryConv2d::forward(const Tensor &input, bool training)
 
 Tensor
 BinaryConv2d::backward(const Tensor &grad_output)
+{
+    const Tensor ds = accumulateGrads(grad_output);
+    const Tensor dcols = matmulTransposedA(cachedBinWeight, ds);
+    return col2im(dcols, cachedInputShape, spec_);
+}
+
+void
+BinaryConv2d::backwardParameters(const Tensor &grad_output)
+{
+    (void)accumulateGrads(grad_output);
+}
+
+Tensor
+BinaryConv2d::accumulateGrads(const Tensor &grad_output)
 {
     assert(!cachedCols.empty());
     const std::size_t n = grad_output.dim(0);
@@ -148,10 +136,7 @@ BinaryConv2d::backward(const Tensor &grad_output)
         if (wr >= -1.0f && wr <= 1.0f)
             weight_.grad[i] += dwb[i];
     }
-
-    const Tensor wb = cachedBinWeight; // (O, patch)
-    Tensor dcols = matmulTransposedA(wb, ds); // (patch, N*oh*ow)
-    return col2im(dcols, cachedInputShape, spec_);
+    return ds;
 }
 
 Tensor

@@ -28,18 +28,8 @@ class BinaryConv2d : public Module, public TilePartialSource
                  std::size_t tile_size = 0);
 
     Tensor forward(const Tensor &input, bool training) override;
-
-    /**
-     * Batched forward: validates that every sample is a (1, C, H, W)
-     * image, then runs the stacked batch through forward() once, so
-     * weight binarization and the im2col lowering are paid once for
-     * the whole batch.
-     */
-    std::vector<Tensor>
-    forwardBatch(const std::vector<Tensor> &samples,
-                 bool training) override;
-
     Tensor backward(const Tensor &grad_output) override;
+    void backwardParameters(const Tensor &grad_output) override;
     std::vector<Parameter *> parameters() override;
     std::string name() const override { return "BinaryConv2d"; }
 
@@ -66,6 +56,12 @@ class BinaryConv2d : public Module, public TilePartialSource
      */
     Tensor preScaleWithPartials(const Tensor &cols, const Tensor &wb,
                                 std::size_t n);
+
+    /**
+     * Accumulates the alpha and weight gradients and releases the
+     * cached patches; returns dL/ds as (O, N*oh*ow).
+     */
+    Tensor accumulateGrads(const Tensor &grad_output);
 
     std::size_t inC, outC;
     Conv2dSpec spec_;

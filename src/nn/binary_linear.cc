@@ -2,22 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "tensor/tensor_ops.h"
 
 namespace superbnn::nn {
 
 namespace {
-
-Tensor
-signOf(const Tensor &w)
-{
-    Tensor out(w.shape());
-    for (std::size_t i = 0; i < w.size(); ++i)
-        out[i] = w[i] >= 0.0f ? 1.0f : -1.0f;
-    return out;
-}
 
 /**
  * C output columns of one sample row x, with wt pointing at the first
@@ -88,18 +78,6 @@ BinaryLinear::signedWeights() const
     return signOf(weight_.value);
 }
 
-std::vector<Tensor>
-BinaryLinear::forwardBatch(const std::vector<Tensor> &samples,
-                           bool training)
-{
-    for (const Tensor &s : samples)
-        if (s.rank() != 2 || s.dim(0) != 1 || s.dim(1) != inF)
-            throw std::invalid_argument(
-                "BinaryLinear::forwardBatch: every sample must be a "
-                "(1, in_features) row");
-    return Module::forwardBatch(samples, training);
-}
-
 Tensor
 BinaryLinear::forward(const Tensor &input, bool training)
 {
@@ -158,6 +136,18 @@ BinaryLinear::preScaleWithPartials(const Tensor &input, const Tensor &wb)
 Tensor
 BinaryLinear::backward(const Tensor &grad_output)
 {
+    return matmul(accumulateGrads(grad_output), cachedBinWeight); // (N, in)
+}
+
+void
+BinaryLinear::backwardParameters(const Tensor &grad_output)
+{
+    (void)accumulateGrads(grad_output);
+}
+
+Tensor
+BinaryLinear::accumulateGrads(const Tensor &grad_output)
+{
     assert(!cachedInput.empty());
     assert(grad_output.rank() == 2 && grad_output.dim(1) == outF);
     const std::size_t n = grad_output.dim(0);
@@ -184,8 +174,7 @@ BinaryLinear::backward(const Tensor &grad_output)
         if (wr >= -1.0f && wr <= 1.0f)
             weight_.grad[i] += dwb[i];
     }
-
-    return matmul(ds, cachedBinWeight); // (N, in)
+    return ds;
 }
 
 std::vector<Parameter *>

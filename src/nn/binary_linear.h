@@ -30,17 +30,8 @@ class BinaryLinear : public Module, public TilePartialSource
                  Rng &rng, std::size_t tile_size = 0);
 
     Tensor forward(const Tensor &input, bool training) override;
-
-    /**
-     * Batched forward: validates that every sample is a (1, in)
-     * activation row, then runs the stacked batch through forward()
-     * once, binarizing sign(wr) a single time for all samples.
-     */
-    std::vector<Tensor>
-    forwardBatch(const std::vector<Tensor> &samples,
-                 bool training) override;
-
     Tensor backward(const Tensor &grad_output) override;
+    void backwardParameters(const Tensor &grad_output) override;
     std::vector<Parameter *> parameters() override;
     std::string name() const override { return "BinaryLinear"; }
 
@@ -61,6 +52,9 @@ class BinaryLinear : public Module, public TilePartialSource
      * shared pool by sample rows; returns s, fills partials_.
      */
     Tensor preScaleWithPartials(const Tensor &input, const Tensor &wb);
+
+    /** Accumulates the alpha and weight gradients; returns dL/ds. */
+    Tensor accumulateGrads(const Tensor &grad_output);
 
     std::size_t inF, outF;
     std::size_t tileSize;

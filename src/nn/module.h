@@ -50,24 +50,23 @@ class Module
     virtual Tensor forward(const Tensor &input, bool training) = 0;
 
     /**
-     * Batched convenience forward over a list of single-sample tensors
-     * (each with a leading batch dimension of 1, as produced by
-     * data::Dataset::sample): the samples are stacked along dimension 0
-     * into one batch tensor, forwarded ONCE — so weight binarization,
-     * im2col, etc. are paid once for the whole batch, the software
-     * analog of programming crossbar tiles once — and split back into
-     * per-sample results. Throws std::invalid_argument when the sample
-     * shapes disagree.
-     */
-    virtual std::vector<Tensor>
-    forwardBatch(const std::vector<Tensor> &samples, bool training);
-
-    /**
      * Backward pass: consumes dL/d(output), returns dL/d(input), and
      * accumulates parameter gradients. Must follow a training-mode
      * forward call.
      */
     virtual Tensor backward(const Tensor &grad_output) = 0;
+
+    /**
+     * Backward pass for a layer whose input gradient nobody reads (a
+     * network's first layer with parameters): accumulates the same
+     * parameter gradients as backward() without forming dL/d(input).
+     * The default runs backward() and drops its result.
+     */
+    virtual void
+    backwardParameters(const Tensor &grad_output)
+    {
+        (void)backward(grad_output);
+    }
 
     /** Trainable parameters of this module (possibly empty). */
     virtual std::vector<Parameter *> parameters() { return {}; }
@@ -77,16 +76,6 @@ class Module
 };
 
 using ModulePtr = std::unique_ptr<Module>;
-
-/**
- * Stack single-sample tensors (leading dimension 1, equal shapes) into
- * one batch tensor along dimension 0. Throws std::invalid_argument on
- * an empty list or mismatched shapes.
- */
-Tensor stackSamples(const std::vector<Tensor> &samples);
-
-/** Split a batch tensor back into per-sample tensors (leading dim 1). */
-std::vector<Tensor> splitBatch(const Tensor &batch);
 
 /**
  * Per-crossbar-tile partial sums recorded by a binary layer.

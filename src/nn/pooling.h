@@ -27,21 +27,6 @@ class MaxPool2d : public Module
     Shape cachedInputShape;
 };
 
-/** 2-D average pooling. */
-class AvgPool2d : public Module
-{
-  public:
-    AvgPool2d(std::size_t kernel, std::size_t stride);
-
-    Tensor forward(const Tensor &input, bool training) override;
-    Tensor backward(const Tensor &grad_output) override;
-    std::string name() const override { return "AvgPool2d"; }
-
-  private:
-    Conv2dSpec spec_;
-    Shape cachedInputShape;
-};
-
 /** Collapse (N, C, H, W) to (N, C*H*W). */
 class Flatten : public Module
 {

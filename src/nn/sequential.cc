@@ -18,18 +18,6 @@ Sequential::forward(const Tensor &input, bool training)
     return x;
 }
 
-std::vector<Tensor>
-Sequential::forwardBatch(const std::vector<Tensor> &samples,
-                         bool training)
-{
-    if (samples.empty())
-        return {};
-    Tensor x = stackSamples(samples);
-    for (auto &l : layers)
-        x = l->forward(x, training);
-    return splitBatch(x);
-}
-
 Tensor
 Sequential::backward(const Tensor &grad_output)
 {
@@ -37,6 +25,20 @@ Sequential::backward(const Tensor &grad_output)
     for (auto it = layers.rbegin(); it != layers.rend(); ++it)
         g = (*it)->backward(g);
     return g;
+}
+
+void
+Sequential::backwardParameters(const Tensor &grad_output)
+{
+    std::size_t first = 0;
+    while (first < layers.size() && layers[first]->parameters().empty())
+        ++first;
+    if (first == layers.size())
+        return;
+    Tensor g = grad_output;
+    for (std::size_t i = layers.size() - 1; i > first; --i)
+        g = layers[i]->backward(g);
+    layers[first]->backwardParameters(g);
 }
 
 std::vector<Parameter *>

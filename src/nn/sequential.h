@@ -19,7 +19,7 @@ class Sequential : public Module
     /** Append a layer; returns a reference for chaining. */
     Sequential &add(ModulePtr module);
 
-    /** Typed emplace helper: net.emplace<Linear>(...). */
+    /** Typed emplace helper: net.emplace<BinaryLinear>(...). */
     template <typename T, typename... Args>
     T &
     emplace(Args &&...args)
@@ -32,16 +32,16 @@ class Sequential : public Module
 
     Tensor forward(const Tensor &input, bool training) override;
 
-    /**
-     * Batched forward: stacks the samples once and drives the stacked
-     * tensor through every child layer (one stack/split for the whole
-     * network, not one per layer).
-     */
-    std::vector<Tensor>
-    forwardBatch(const std::vector<Tensor> &samples,
-                 bool training) override;
-
     Tensor backward(const Tensor &grad_output) override;
+
+    /**
+     * The reverse walk without the network's input gradient: it ends
+     * at the first child with parameters, which runs
+     * backwardParameters(); the children before it have nothing to
+     * accumulate.
+     */
+    void backwardParameters(const Tensor &grad_output) override;
+
     std::vector<Parameter *> parameters() override;
     std::string name() const override { return "Sequential"; }
 

@@ -273,10 +273,10 @@ InferenceService::shardedScores(
         return evaluator.classScoresSeeded(samples, seeds, &counts);
 
     // Contiguous even split: sub-batch j takes [starts[j], starts[j+1]).
-    // Each runs on its own shard-bound thread, so the evaluator's
-    // shared-pool executors route every nested tile loop to shard j's
-    // node-local pool. Bit-exactness is free: each score is a pure
-    // function of (model, sample, seed), so the partition is
+    // parallelForSharded runs task j on shard j under a ShardBinding, so
+    // the evaluator's shared-pool executors route every nested tile loop
+    // to shard j's node-local pool. Bit-exactness is free: each score is
+    // a pure function of (model, sample, seed), so the partition is
     // unobservable in the responses.
     std::vector<std::size_t> starts(k + 1, 0);
     for (std::size_t j = 0; j < k; ++j) {
@@ -288,33 +288,15 @@ InferenceService::shardedScores(
 
     std::vector<std::vector<std::vector<double>>> sub(k);
     std::vector<aqfp::LedgerCounts> sub_counts(k);
-    std::vector<std::exception_ptr> errors(k);
-    auto runRange = [&](std::size_t j) {
-        try {
-            const util::ShardBinding bind(shards_->shard(j));
-            std::vector<Tensor> part(
-                std::make_move_iterator(samples.begin() + starts[j]),
-                std::make_move_iterator(samples.begin()
-                                        + starts[j + 1]));
-            const std::vector<std::uint64_t> part_seeds(
-                seeds.begin() + starts[j],
-                seeds.begin() + starts[j + 1]);
-            sub[j] = evaluator.classScoresSeeded(part, part_seeds,
-                                                 &sub_counts[j]);
-        } catch (...) {
-            errors[j] = std::current_exception();
-        }
-    };
-    std::vector<std::thread> drivers;
-    drivers.reserve(k - 1);
-    for (std::size_t j = 1; j < k; ++j)
-        drivers.emplace_back(runRange, j);
-    runRange(0);
-    for (std::thread &t : drivers)
-        t.join();
-    for (const std::exception_ptr &err : errors)
-        if (err)
-            std::rethrow_exception(err);
+    shards_->parallelForSharded(k, [&](std::size_t j) {
+        std::vector<Tensor> part(
+            std::make_move_iterator(samples.begin() + starts[j]),
+            std::make_move_iterator(samples.begin() + starts[j + 1]));
+        const std::vector<std::uint64_t> part_seeds(
+            seeds.begin() + starts[j], seeds.begin() + starts[j + 1]);
+        sub[j] = evaluator.classScoresSeeded(part, part_seeds,
+                                             &sub_counts[j]);
+    });
 
     std::vector<std::vector<double>> scores;
     scores.reserve(samples.size());

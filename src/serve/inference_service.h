@@ -225,8 +225,9 @@ class InferenceService
     /**
      * classScoresSeeded across the sharded executor pool: with k > 1
      * shards the megabatch splits into up to k contiguous sub-batches,
-     * one shard-bound thread each, so every shard's tile loops stay on
-     * its own NUMA node. Responses are bit-identical to the unsharded
+     * sub-batch j run as task j of ShardedExecutorPool::
+     * parallelForSharded, on shard j, so every shard's tile loops stay
+     * on its own NUMA node. Responses are bit-identical to the unsharded
      * call — classScoresSeeded makes each entry a pure function of
      * (model, sample, seed), so partitioning cannot change answers.
      * @p counts receives the summed activity of the sub-batches.

@@ -229,39 +229,6 @@ col2im(const Tensor &cols, const Shape &input_shape, const Conv2dSpec &spec)
     return out;
 }
 
-Tensor
-conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
-       const Conv2dSpec &spec)
-{
-    assert(input.rank() == 4 && weight.rank() == 4);
-    const std::size_t n = input.dim(0);
-    const std::size_t o = weight.dim(0), c = weight.dim(1);
-    assert(input.dim(1) == c);
-    assert(weight.dim(2) == spec.kernel && weight.dim(3) == spec.kernel);
-    const std::size_t oh = spec.outExtent(input.dim(2));
-    const std::size_t ow = spec.outExtent(input.dim(3));
-
-    const Tensor cols = im2col(input, spec);
-    const Tensor wmat =
-        weight.reshaped({o, c * spec.kernel * spec.kernel});
-    Tensor prod = matmul(wmat, cols); // (O, N*oh*ow)
-
-    Tensor out({n, o, oh, ow});
-    const float *pp = prod.data();
-    float *po = out.data();
-    const std::size_t plane = oh * ow;
-    for (std::size_t oi = 0; oi < o; ++oi) {
-        const float b = bias.empty() ? 0.0f : bias[oi];
-        for (std::size_t ni = 0; ni < n; ++ni) {
-            const float *src = pp + oi * (n * plane) + ni * plane;
-            float *dst = po + (ni * o + oi) * plane;
-            for (std::size_t p = 0; p < plane; ++p)
-                dst[p] = src[p] + b;
-        }
-    }
-    return out;
-}
-
 MaxPoolResult
 maxPool2d(const Tensor &input, const Conv2dSpec &spec)
 {
@@ -317,45 +284,11 @@ maxPool2d(const Tensor &input, const Conv2dSpec &spec)
 }
 
 Tensor
-avgPool2d(const Tensor &input, const Conv2dSpec &spec)
+signOf(const Tensor &x)
 {
-    assert(input.rank() == 4);
-    const std::size_t n = input.dim(0), c = input.dim(1);
-    const std::size_t h = input.dim(2), w = input.dim(3);
-    const std::size_t oh = spec.outExtent(h), ow = spec.outExtent(w);
-    Tensor out({n, c, oh, ow});
-    const float *pi = input.data();
-    float *po = out.data();
-    const float inv = 1.0f / static_cast<float>(spec.kernel * spec.kernel);
-    const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(spec.padding);
-
-    std::size_t out_idx = 0;
-    for (std::size_t ni = 0; ni < n; ++ni) {
-        for (std::size_t ci = 0; ci < c; ++ci) {
-            const float *img = pi + (ni * c + ci) * h * w;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-                for (std::size_t ox = 0; ox < ow; ++ox, ++out_idx) {
-                    double acc = 0.0;
-                    for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
-                        const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(
-                            oy * spec.stride + ky) - pad;
-                        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h))
-                            continue;
-                        for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
-                            const std::ptrdiff_t ix =
-                                static_cast<std::ptrdiff_t>(
-                                    ox * spec.stride + kx) - pad;
-                            if (ix < 0 ||
-                                ix >= static_cast<std::ptrdiff_t>(w))
-                                continue;
-                            acc += img[iy * w + ix];
-                        }
-                    }
-                    po[out_idx] = static_cast<float>(acc) * inv;
-                }
-            }
-        }
-    }
+    Tensor out(x.shape());
+    for (std::size_t i = 0; i < x.size(); ++i)
+        out[i] = x[i] >= 0.0f ? 1.0f : -1.0f;
     return out;
 }
 

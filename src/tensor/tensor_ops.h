@@ -1,7 +1,7 @@
 /**
  * @file
- * Free-function tensor operations: matmul, im2col-based convolution,
- * pooling, padding, and softmax. These are the numeric kernels behind the
+ * Free-function tensor operations: matmul, im2col/col2im, max pooling,
+ * sign binarization, and softmax. These are the numeric kernels behind the
  * nn layers; they operate on plain Tensors and carry no training state.
  */
 
@@ -95,16 +95,6 @@ Tensor im2col(const Tensor &input, const Conv2dSpec &spec);
 Tensor col2im(const Tensor &cols, const Shape &input_shape,
               const Conv2dSpec &spec);
 
-/**
- * 2-D convolution of an NCHW batch with OIHW weights via im2col + matmul.
- *
- * @param input   (N, C, H, W)
- * @param weight  (O, C, k, k)
- * @param bias    length-O tensor, or empty for no bias
- */
-Tensor conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
-              const Conv2dSpec &spec);
-
 /** Result of a max-pool forward pass: values plus argmax indices. */
 struct MaxPoolResult
 {
@@ -115,8 +105,11 @@ struct MaxPoolResult
 /** 2-D max pooling over an NCHW batch. */
 MaxPoolResult maxPool2d(const Tensor &input, const Conv2dSpec &spec);
 
-/** 2-D average pooling over an NCHW batch. */
-Tensor avgPool2d(const Tensor &input, const Conv2dSpec &spec);
+/**
+ * Elementwise binarization to +/-1 with sign(0) = +1 (Eq. 6): the
+ * forward of SignSTE and of every binary layer's weights.
+ */
+Tensor signOf(const Tensor &x);
 
 /**
  * Row-wise softmax of a 2-D tensor (numerically stabilized by max

@@ -138,6 +138,13 @@ ShardedExecutorPool::parallelForSharded(
         if (count == 0)
             return;
         try {
+            if (count == 1) {
+                // Inside the shard pool's own parallelFor, nested loops
+                // on that pool would run inline on this one thread.
+                const ShardBinding bind(shards_[j]);
+                body(j);
+                return;
+            }
             shards_[j]->parallelFor(count, [&, j](std::size_t t) {
                 const ShardBinding bind(shards_[j]);
                 body(j + t * k);

@@ -9,8 +9,8 @@
  * node's CPUs, and offers parallelForSharded() — a round-robin
  * striping of loop indices across shards so (corner, chip) and
  * candidate sweeps spread node-locally. Consumers that serve requests
- * (InferenceService) instead bind a thread to a shard with
- * ShardBinding and run a whole sub-batch there.
+ * (InferenceService) call it with one index per shard and run a whole
+ * sub-batch in each.
  *
  * **One parallelism rule.** Every `threads` setting in the library
  * (TileExecutor, HardwareConfig/HardwarePlan, SweepOptions,
@@ -105,7 +105,10 @@ class ShardedExecutorPool
      * round-robin across shards (shard j executes j, j+k, j+2k, ...
      * for k = shardCount()), one driver thread per shard — the caller
      * drives shard 0 — each holding a ShardBinding so nested
-     * shared-pool work stays on the same shard. A barrier, like
+     * shared-pool work stays on the same shard. A shard that owns a
+     * single index runs it on its driver outside the shard pool's
+     * parallelFor, so that index's nested loops still spread over the
+     * shard's workers instead of running inline. A barrier, like
      * ThreadPool::parallelFor, with the same exception contract:
      * every index runs, the first exception rethrows. With one shard
      * this is exactly shard(0)->parallelFor(n, body).

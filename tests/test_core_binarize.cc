@@ -3,6 +3,7 @@
  * Tests for the randomized-aware binarization layers (Eq. 3/7/10).
  */
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -39,106 +40,13 @@ TEST(AqfpBehaviorTest, DeltaVinMatchesEquationFour)
                 2.4 / model.currentForValueOne(36.0), 1e-12);
 }
 
-TEST(RandomizedBinarizeTest, OutputsAreBipolar)
-{
-    Rng rng(1);
-    const auto model = atten();
-    RandomizedBinarize layer(AqfpBehavior{16, 2.4, 0.0}, model, rng);
-    Tensor x = Tensor::randn({4, 10}, rng);
-    Tensor y = layer.forward(x, true);
-    for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_TRUE(y[i] == 1.0f || y[i] == -1.0f);
-}
-
-TEST(RandomizedBinarizeTest, ProbabilityIsErf)
-{
-    Rng rng(2);
-    const auto model = atten();
-    AqfpBehavior b{16, 2.4, 0.3};
-    RandomizedBinarize layer(b, model, rng);
-    const double dvin = b.deltaVin(model);
-    for (double v : {-1.0, 0.0, 0.3, 1.0}) {
-        const double expect = 0.5
-            + 0.5 * std::erf(std::sqrt(M_PI) * (v - 0.3) / dvin);
-        EXPECT_NEAR(layer.probPlusOne(v), expect, 1e-12);
-    }
-}
-
-TEST(RandomizedBinarizeTest, SamplingFollowsProbability)
-{
-    Rng rng(3);
-    const auto model = atten();
-    RandomizedBinarize layer(AqfpBehavior{36, 2.4, 0.0}, model, rng);
-    const float v = 0.4f;
-    Tensor x({20000}, v);
-    Tensor y = layer.forward(x, true);
-    double plus = 0.0;
-    for (std::size_t i = 0; i < y.size(); ++i)
-        plus += y[i] > 0 ? 1.0 : 0.0;
-    plus /= static_cast<double>(y.size());
-    EXPECT_NEAR(plus, layer.probPlusOne(v), 0.02);
-}
-
-TEST(RandomizedBinarizeTest, GradientIsErfDerivative)
-{
-    Rng rng(4);
-    const auto model = atten();
-    AqfpBehavior b{16, 2.4, 0.0};
-    RandomizedBinarize layer(b, model, rng);
-    const double dvin = b.deltaVin(model);
-    Tensor x = Tensor::fromVector({-0.8f, -0.1f, 0.0f, 0.5f, 2.0f});
-    layer.forward(x, true);
-    Tensor dx = layer.backward(Tensor({5}, 1.0f));
-    for (std::size_t i = 0; i < 5; ++i) {
-        const double z = x[i] / dvin;
-        const double expect = (2.0 / dvin) * std::exp(-M_PI * z * z);
-        EXPECT_NEAR(dx[i], expect, 1e-5);
-    }
-}
-
-TEST(RandomizedBinarizeTest, GradientMatchesNumericExpectation)
-{
-    // The backward pass is d/dx E[ab] = d/dx (2 P(x) - 1).
-    Rng rng(5);
-    const auto model = atten();
-    RandomizedBinarize layer(AqfpBehavior{16, 2.4, 0.1}, model, rng);
-    const double eps = 1e-5;
-    for (double v : {-0.6, 0.1, 0.9}) {
-        const double num = (2.0 * layer.probPlusOne(v + eps)
-                            - 2.0 * layer.probPlusOne(v - eps))
-            / (2.0 * eps);
-        Tensor x({1}, static_cast<float>(v));
-        layer.forward(x, true);
-        const Tensor dx = layer.backward(Tensor({1}, 1.0f));
-        EXPECT_NEAR(dx[0], num, 1e-4);
-    }
-}
-
-TEST(RandomizedBinarizeTest, DeterministicEvalUsesExpectationSign)
-{
-    Rng rng(6);
-    const auto model = atten();
-    RandomizedBinarize layer(AqfpBehavior{16, 2.4, 0.0}, model, rng,
-                             /*sample_in_eval=*/false);
-    Tensor x = Tensor::fromVector({-0.4f, 0.4f});
-    Tensor y = layer.forward(x, false);
-    EXPECT_FLOAT_EQ(y[0], -1.0f);
-    EXPECT_FLOAT_EQ(y[1], 1.0f);
-    // Repeat: deterministic.
-    Tensor y2 = layer.forward(x, false);
-    EXPECT_TRUE(y.equals(y2));
-}
-
-TEST(RandomizedBinarizeTest, LargerCrossbarIsNoisier)
+TEST(AqfpBehaviorTest, LargerCrossbarIsNoisier)
 {
     // Challenge #2: the value-domain gray zone grows with Cs, so the
     // same latent value binarizes less deterministically.
-    Rng rng(7);
     const auto model = atten();
-    RandomizedBinarize small(AqfpBehavior{8, 2.4, 0.0}, model, rng);
-    RandomizedBinarize big(AqfpBehavior{144, 2.4, 0.0}, model, rng);
-    EXPECT_GT(small.probPlusOne(1.0), big.probPlusOne(1.0));
-    EXPECT_LT(small.probPlusOne(-1.0), big.probPlusOne(-1.0));
+    EXPECT_GT(AqfpBehavior({144, 2.4, 0.0}).deltaVin(model),
+              AqfpBehavior({8, 2.4, 0.0}).deltaVin(model));
 }
 
 // --- CellBinarize ---
@@ -160,6 +68,34 @@ makeBn(std::size_t channels, const std::vector<float> &gamma,
     return bn;
 }
 
+/** Tile partials set by hand, standing in for a binary layer. */
+class FixedPartials : public nn::TilePartialSource
+{
+  public:
+    FixedPartials(std::size_t tiles, std::size_t rows, Tensor partials)
+        : TilePartialSource(tiles, rows)
+    {
+        partials_ = std::move(partials);
+    }
+};
+
+/** @p tiles tiles holding @p value for each of @p elements elements. */
+FixedPartials
+uniformPartials(std::size_t tiles, std::size_t elements, float value)
+{
+    return FixedPartials(tiles, 16, Tensor({tiles, elements}, value));
+}
+
+/** Fraction of +1 entries in @p y. */
+double
+plusFraction(const Tensor &y)
+{
+    double plus = 0.0;
+    for (std::size_t i = 0; i < y.size(); ++i)
+        plus += y[i] > 0 ? 1.0 : 0.0;
+    return plus / static_cast<double>(y.size());
+}
+
 } // namespace
 
 TEST(CellBinarizeTest, ChannelWidthUsesAbsoluteSlope)
@@ -170,7 +106,8 @@ TEST(CellBinarizeTest, ChannelWidthUsesAbsoluteSlope)
                      {1.0f, 4.0f});
     nn::Parameter alpha(Tensor::fromVector({0.5f, 2.0f}));
     AqfpBehavior b{16, 2.4, 0.0};
-    CellBinarize layer(b, model, rng, &bn, &alpha);
+    const FixedPartials source(1, 16, Tensor());
+    CellBinarize layer(b, model, rng, &bn, &alpha, source);
     const double dvin = b.deltaVin(model);
     // |k0| = 2 * 0.5 / sqrt(1 + eps) ~ 1.
     EXPECT_NEAR(layer.channelWidth(0), 1.0 * dvin, 1e-4);
@@ -190,15 +127,74 @@ TEST(CellBinarizeTest, MonotoneInBnOutputForEitherGammaSign)
     for (float gamma : {1.0f, -1.0f}) {
         auto bn = makeBn(1, {gamma}, {0.0f}, {0.0f}, {1.0f});
         nn::Parameter alpha(Tensor::fromVector({1.0f}));
+        // Threshold 0, so BN output gamma * s is positive for tile
+        // partials of gamma's sign.
+        const FixedPartials source = uniformPartials(3, 20000, 2.0f * gamma);
         CellBinarize layer(AqfpBehavior{16, 2.4, 0.0}, model, rng, &bn,
-                           &alpha);
-        Tensor x({20000, 1}, 0.5f);
-        Tensor y = layer.forward(x, true);
-        double plus = 0.0;
-        for (std::size_t i = 0; i < y.size(); ++i)
-            plus += y[i] > 0 ? 1.0 : 0.0;
-        plus /= static_cast<double>(y.size());
-        EXPECT_GT(plus, 0.5) << "gamma " << gamma;
+                           &alpha, source);
+        const Tensor y = layer.forward(Tensor({20000, 1}, 2.0f), false);
+        EXPECT_GT(plusFraction(y), 0.5) << "gamma " << gamma;
+    }
+}
+
+TEST(CellBinarizeTiled, SamplingFollowsProbability)
+{
+    // One tile: the output bit is that tile neuron's, +1 with
+    // probability Pv(s) = 0.5 + 0.5 erf(sqrt(pi) (s - vth) / deltaVin)
+    // (Eq. 3) against the folded threshold vth = mean (alpha 1, beta 0).
+    Rng rng(3);
+    const auto model = atten();
+    const AqfpBehavior b{36, 2.4, 0.0};
+    const double dvin = b.deltaVin(model);
+    const float vth = static_cast<float>(-0.3 * dvin);
+    auto bn = makeBn(1, {1.0f}, {0.0f}, {vth}, {1.0f});
+    nn::Parameter alpha(Tensor::fromVector({1.0f}));
+    const FixedPartials source = uniformPartials(1, 20000, 0.0f);
+    CellBinarize layer(b, model, rng, &bn, &alpha, source);
+    const double p =
+        0.5 + 0.5 * std::erf(std::sqrt(M_PI) * (0.0 - vth) / dvin);
+    ASSERT_GT(p, 0.6);
+    ASSERT_LT(p, 0.9);
+    const Tensor y = layer.forward(Tensor({20000, 1}), false);
+    EXPECT_NEAR(plusFraction(y), p, 0.02);
+}
+
+TEST(CellBinarizeTest, GradientIsErfDerivative)
+{
+    // Backward is d/dx E[ab] = d/dx erf(sqrt(pi) x / w) with w the
+    // channel width floored at 1: channel 0's width 0.5 floors to 1,
+    // channel 1's stays 3.
+    Rng rng(4);
+    const auto model = atten();
+    const AqfpBehavior b{16, 2.4, 0.0};
+    const double dvin = b.deltaVin(model);
+    auto bn = makeBn(2, {1.0f, 1.0f}, {0.0f, 0.0f}, {0.0f, 0.0f},
+                     {1.0f, 1.0f});
+    nn::Parameter alpha(Tensor::fromVector(
+        {static_cast<float>(0.5 / dvin), static_cast<float>(3.0 / dvin)}));
+    const FixedPartials source = uniformPartials(1, 10, 1.0f);
+    CellBinarize layer(b, model, rng, &bn, &alpha, source);
+    const std::vector<float> xs = {-0.8f, -0.1f, 0.0f, 0.5f, 2.0f};
+    Tensor x({5, 2});
+    for (std::size_t i = 0; i < 5; ++i)
+        x.at(i, 0) = x.at(i, 1) = xs[i];
+    layer.forward(x, true);
+    const Tensor dx = layer.backward(Tensor(x.shape(), 1.0f));
+    const double eps = 1e-4;
+    for (std::size_t c = 0; c < 2; ++c) {
+        const double w = std::max(layer.channelWidth(c), 1.0);
+        EXPECT_NEAR(w, c == 0 ? 1.0 : 3.0, 1e-4);
+        const auto expectation = [&](double v) {
+            return std::erf(std::sqrt(M_PI) * v / w);
+        };
+        for (std::size_t i = 0; i < 5; ++i) {
+            const double v = xs[i];
+            const double closed = (2.0 / w) * std::exp(-M_PI * v * v / (w * w));
+            const double numeric =
+                (expectation(v + eps) - expectation(v - eps)) / (2.0 * eps);
+            EXPECT_NEAR(dx.at(i, c), closed, 1e-5) << "c " << c << " x " << v;
+            EXPECT_NEAR(dx.at(i, c), numeric, 1e-4) << "c " << c << " x " << v;
+        }
     }
 }
 
@@ -209,10 +205,11 @@ TEST(CellBinarizeTest, GradientPositiveForEitherGammaSign)
     auto bn_pos = makeBn(1, {1.0f}, {0.0f}, {0.0f}, {1.0f});
     auto bn_neg = makeBn(1, {-1.0f}, {0.0f}, {0.0f}, {1.0f});
     nn::Parameter alpha(Tensor::fromVector({1.0f}));
+    const FixedPartials source = uniformPartials(1, 1, 1.0f);
     CellBinarize pos(AqfpBehavior{16, 2.4, 0.0}, model, rng, &bn_pos,
-                     &alpha);
+                     &alpha, source);
     CellBinarize neg(AqfpBehavior{16, 2.4, 0.0}, model, rng, &bn_neg,
-                     &alpha);
+                     &alpha, source);
     Tensor x({1, 1}, 0.2f);
     pos.forward(x, true);
     neg.forward(x, true);
@@ -229,9 +226,13 @@ TEST(CellBinarizeTest, SupportsConvShapedInput)
     auto bn = makeBn(3, {1.0f, 1.0f, 1.0f}, {0.0f, 0.0f, 0.0f},
                      {0.0f, 0.0f, 0.0f}, {1.0f, 1.0f, 1.0f});
     nn::Parameter alpha(Tensor({3}, 1.0f));
-    CellBinarize layer(AqfpBehavior{16, 2.4, 0.0}, model, rng, &bn,
-                       &alpha);
     Tensor x = Tensor::randn({2, 3, 4, 4}, rng);
+    Tensor partials({2, x.size()});
+    for (std::size_t i = 0; i < partials.size(); ++i)
+        partials[i] = static_cast<float>(rng.randint(-16, 16));
+    const FixedPartials source(2, 16, partials);
+    CellBinarize layer(AqfpBehavior{16, 2.4, 0.0}, model, rng, &bn,
+                       &alpha, source);
     Tensor y = layer.forward(x, true);
     EXPECT_EQ(y.shape(), x.shape());
     for (std::size_t i = 0; i < y.size(); ++i)
@@ -273,17 +274,6 @@ TEST(AqfpBehaviorTest, RejectsNonPositiveGrayZoneAndSubUnitCrossbar)
 namespace {
 
 constexpr double kSqrtPi = 1.7724538509055160273;
-
-/** Tile partials set by hand, standing in for a binary layer. */
-class FixedPartials : public nn::TilePartialSource
-{
-  public:
-    FixedPartials(std::size_t tiles, std::size_t rows, Tensor partials)
-        : TilePartialSource(tiles, rows)
-    {
-        partials_ = std::move(partials);
-    }
-};
 
 /**
  * The tile-level forward as one per-element loop: each tile's
@@ -391,7 +381,7 @@ TEST(CellBinarizeTiled, MatchesPerElementLoopBitsAndDraws)
 
                 Rng rng(seed * 7), ref_rng(seed * 7);
                 CellBinarize layer(AqfpBehavior{16, diin, 0.0}, model, rng,
-                                   &bn, &alpha, &source);
+                                   &bn, &alpha, source);
                 const Tensor got = layer.forward(input, false);
                 const Tensor want = referenceTiled(
                     k.shape, foldBatchNorm(bn, alpha.value),
@@ -423,7 +413,7 @@ TEST(CellBinarizeTiled, PartialCountMismatchIsACheckedError)
     // Three tiles over a (4, 2) output need 24 partials; give 20.
     const FixedPartials source(3, 16, Tensor({20}));
     CellBinarize layer(AqfpBehavior{16, 2.4, 0.0}, model, rng, &bn, &alpha,
-                       &source);
+                       source);
     try {
         (void)layer.forward(Tensor({4, 2}), false);
         FAIL() << "mismatched partials accepted";
@@ -452,7 +442,7 @@ TEST(CellBinarizeTiled, MoreThan4096TilesIsACheckedError)
     nn::Parameter alpha(Tensor({2}, 1.0f));
     const FixedPartials source(4097, 1, Tensor({4097, 2}));
     CellBinarize layer(AqfpBehavior{16, 2.4, 0.0}, model, rng, &bn, &alpha,
-                       &source);
+                       source);
     try {
         (void)layer.forward(Tensor({1, 2}), false);
         FAIL() << "4097 row tiles accepted";

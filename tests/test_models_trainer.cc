@@ -245,3 +245,70 @@ TEST(TrainerTest, ZeroBatchSizeIsRejected)
                   std::string::npos);
     }
 }
+
+// --- model backward without the input gradient ---
+
+namespace {
+
+/**
+ * Checks that @p model.backward leaves every parameter gradient
+ * bit-equal to a manual reverse walk over @p reference's layers that
+ * forms every dx. Both models are built alike from equal seeds, so
+ * their weights and forward draws agree.
+ */
+void
+expectBackwardMatchesFullChain(BnnModel &model, BnnModel &reference,
+                               const Tensor &input,
+                               const std::vector<std::size_t> &labels)
+{
+    nn::SoftmaxCrossEntropy loss;
+    (void)loss.forward(model.forward(input, true), labels);
+    model.backward(loss.backward());
+
+    (void)loss.forward(reference.forward(input, true), labels);
+    Tensor g = loss.backward();
+    nn::Sequential &net = reference.network();
+    for (std::size_t i = net.size(); i-- > 0;)
+        g = net.layer(i).backward(g);
+    EXPECT_EQ(g.shape(), input.shape());
+
+    const auto got = model.parameters();
+    const auto want = reference.parameters();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k)
+        EXPECT_TRUE(got[k]->grad.equals(want[k]->grad)) << "parameter " << k;
+    // The first layer's weight gradient is the one a skip could drop.
+    bool any = false;
+    for (std::size_t i = 0; i < got[0]->grad.size(); ++i)
+        any = any || got[0]->grad[i] != 0.0f;
+    EXPECT_TRUE(any);
+}
+
+} // namespace
+
+TEST(ModelBackward, ParameterGradientsMatchFullChain)
+{
+    const auto model = atten();
+    const AqfpBehavior behavior{16, 2.4, 0.0};
+    {
+        Rng rng_a(61), rng_b(61), data(62);
+        RandomizedMlp a(48, {32, 24}, 10, behavior, model, rng_a);
+        RandomizedMlp b(48, {32, 24}, 10, behavior, model, rng_b);
+        const Tensor input = Tensor::randn({8, 48}, data);
+        SCOPED_TRACE("MLP");
+        expectBackwardMatchesFullChain(a, b, input,
+                                       {0, 1, 2, 3, 4, 5, 6, 7});
+    }
+    {
+        RandomizedCnn::Config cfg;
+        cfg.inputSide = 8;
+        cfg.channels = {4, 8};
+        cfg.poolAfter = {true, true};
+        Rng rng_a(63), rng_b(63), data(64);
+        RandomizedCnn a(cfg, behavior, model, rng_a);
+        RandomizedCnn b(cfg, behavior, model, rng_b);
+        const Tensor input = Tensor::randn({4, 3, 8, 8}, data);
+        SCOPED_TRACE("CNN");
+        expectBackwardMatchesFullChain(a, b, input, {0, 3, 6, 9});
+    }
+}

@@ -12,6 +12,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <future>
@@ -19,6 +20,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -287,6 +289,35 @@ TEST(ShardedExecutorPoolTest, TasksSeeTheirShardBinding)
     });
     EXPECT_EQ(bad[0].load(), 0);
     EXPECT_EQ(ShardBinding::currentPool(), nullptr);
+}
+
+TEST(ShardedExecutorPoolTest, SingleIndexShardKeepsItsWorkers)
+{
+    // One index per shard (an InferenceService sub-batch each): the
+    // nested loop on the bound shard must reach that shard's worker, not
+    // run inline on the driver. Each nested index waits for its sibling,
+    // which only a second thread can start.
+    ShardedExecutorPool pool(2, 4, false, CpuTopology::detect());
+    ASSERT_EQ(pool.shard(0)->threadCount(), 2u);
+    std::vector<std::atomic<int>> arrived(2), paired(2);
+    for (std::size_t j = 0; j < 2; ++j) {
+        arrived[j].store(0);
+        paired[j].store(0);
+    }
+    pool.parallelForSharded(2, [&](std::size_t j) {
+        ShardBinding::currentPool()->parallelFor(2, [&, j](std::size_t) {
+            arrived[j].fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(5);
+            while (arrived[j].load() < 2
+                   && std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            if (arrived[j].load() == 2)
+                paired[j].fetch_add(1);
+        });
+    });
+    EXPECT_EQ(paired[0].load(), 2);
+    EXPECT_EQ(paired[1].load(), 2);
 }
 
 TEST(ShardedExecutorPoolTest, ShardBindingsNestInnerWins)

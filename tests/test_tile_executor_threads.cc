@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -860,27 +861,42 @@ TEST(ThreadedExecutorTest, EmptyBatchIsANoOp)
     EXPECT_EQ(rng2.raw()(), before);
 }
 
-// --- nn forwardBatch overloads ---
+// --- batched layer forwards ---
 
-TEST(NnForwardBatchTest, StackAndSplitRoundTrip)
+namespace {
+
+/** The (1, ...) samples stacked along dimension 0. */
+Tensor
+stacked(const std::vector<Tensor> &samples)
 {
-    Rng rng(51);
-    std::vector<Tensor> samples;
-    for (int b = 0; b < 3; ++b)
-        samples.push_back(Tensor::randn({1, 2, 4, 4}, rng));
-    const Tensor stacked = nn::stackSamples(samples);
-    ASSERT_EQ(stacked.shape(), (Shape{3, 2, 4, 4}));
-    const std::vector<Tensor> back = nn::splitBatch(stacked);
-    ASSERT_EQ(back.size(), 3u);
-    for (std::size_t b = 0; b < 3; ++b)
-        EXPECT_TRUE(back[b].equals(samples[b])) << "sample " << b;
-
-    EXPECT_THROW(nn::stackSamples({}), std::invalid_argument);
-    std::vector<Tensor> ragged = {Tensor({1, 4}), Tensor({1, 5})};
-    EXPECT_THROW(nn::stackSamples(ragged), std::invalid_argument);
-    std::vector<Tensor> unbatched = {Tensor({2, 4})};
-    EXPECT_THROW(nn::stackSamples(unbatched), std::invalid_argument);
+    Shape shape = samples.front().shape();
+    shape[0] = samples.size();
+    Tensor out(shape);
+    const std::size_t stride = samples.front().size();
+    for (std::size_t b = 0; b < samples.size(); ++b)
+        std::copy(samples[b].data(), samples[b].data() + stride,
+                  out.data() + b * stride);
+    return out;
 }
+
+/** Row @p b of a forwarded batch equals forward of sample @p b alone. */
+void
+expectBatchMatchesPerSample(nn::Module &layer,
+                            const std::vector<Tensor> &samples)
+{
+    const Tensor batched = layer.forward(stacked(samples), false);
+    ASSERT_EQ(batched.dim(0), samples.size());
+    const std::size_t stride = batched.size() / samples.size();
+    for (std::size_t b = 0; b < samples.size(); ++b) {
+        const Tensor one = layer.forward(samples[b], false);
+        ASSERT_EQ(one.size(), stride);
+        for (std::size_t i = 0; i < stride; ++i)
+            EXPECT_NEAR(batched[b * stride + i], one[i], 1e-6f)
+                << "sample " << b << " element " << i;
+    }
+}
+
+} // namespace
 
 TEST(NnForwardBatchTest, BinaryLinearBatchMatchesPerSample)
 {
@@ -889,15 +905,7 @@ TEST(NnForwardBatchTest, BinaryLinearBatchMatchesPerSample)
     std::vector<Tensor> samples;
     for (int b = 0; b < 4; ++b)
         samples.push_back(Tensor::randn({1, 6}, rng));
-    const auto batched = layer.forwardBatch(samples, false);
-    ASSERT_EQ(batched.size(), samples.size());
-    for (std::size_t b = 0; b < samples.size(); ++b) {
-        const Tensor one = layer.forward(samples[b], false);
-        EXPECT_TRUE(batched[b].allClose(one, 1e-6f)) << "sample " << b;
-    }
-    std::vector<Tensor> wrong = {Tensor({1, 5})};
-    EXPECT_THROW(layer.forwardBatch(wrong, false),
-                 std::invalid_argument);
+    expectBatchMatchesPerSample(layer, samples);
 }
 
 TEST(NnForwardBatchTest, BinaryConvBatchMatchesPerSample)
@@ -907,15 +915,7 @@ TEST(NnForwardBatchTest, BinaryConvBatchMatchesPerSample)
     std::vector<Tensor> samples;
     for (int b = 0; b < 3; ++b)
         samples.push_back(Tensor::randn({1, 2, 5, 5}, rng));
-    const auto batched = conv.forwardBatch(samples, false);
-    ASSERT_EQ(batched.size(), samples.size());
-    for (std::size_t b = 0; b < samples.size(); ++b) {
-        const Tensor one = conv.forward(samples[b], false);
-        EXPECT_TRUE(batched[b].allClose(one, 1e-6f)) << "sample " << b;
-    }
-    std::vector<Tensor> wrong = {Tensor({1, 3, 5, 5})};
-    EXPECT_THROW(conv.forwardBatch(wrong, false),
-                 std::invalid_argument);
+    expectBatchMatchesPerSample(conv, samples);
 }
 
 TEST(NnForwardBatchTest, SequentialBatchMatchesPerSample)
@@ -927,13 +927,7 @@ TEST(NnForwardBatchTest, SequentialBatchMatchesPerSample)
     std::vector<Tensor> samples;
     for (int b = 0; b < 4; ++b)
         samples.push_back(Tensor::randn({1, 8}, rng));
-    const auto batched = net.forwardBatch(samples, false);
-    ASSERT_EQ(batched.size(), samples.size());
-    for (std::size_t b = 0; b < samples.size(); ++b) {
-        const Tensor one = net.forward(samples[b], false);
-        EXPECT_TRUE(batched[b].allClose(one, 1e-6f)) << "sample " << b;
-    }
-    EXPECT_TRUE(net.forwardBatch({}, false).empty());
+    expectBatchMatchesPerSample(net, samples);
 }
 
 TEST(ThreadedExecutorTest, LedgerTotalsSurviveThreadReconfiguration)

@@ -159,11 +159,33 @@ TEST(CellBinarizeTiled, SamplingFollowsProbability)
     EXPECT_NEAR(plusFraction(y), p, 0.02);
 }
 
+TEST(CellBinarizeTiled, ProbabilityIsErf)
+{
+    // Across the gray zone the one-tile +1 frequency traces the Eq. 3
+    // curve Pv(s) = 0.5 + 0.5 erf(sqrt(pi) (s - vth) / deltaVin): 0.5 at
+    // the threshold, symmetric about it, saturating a width away.
+    Rng rng(2);
+    const auto model = atten();
+    const AqfpBehavior b{16, 2.4, 0.0};
+    const double dvin = b.deltaVin(model);
+    for (const double offset : {-1.0, -0.3, 0.0, 0.3, 1.0}) {
+        const float vth = static_cast<float>(-offset * dvin);
+        auto bn = makeBn(1, {1.0f}, {0.0f}, {vth}, {1.0f});
+        nn::Parameter alpha(Tensor::fromVector({1.0f}));
+        const FixedPartials source = uniformPartials(1, 20000, 0.0f);
+        CellBinarize layer(b, model, rng, &bn, &alpha, source);
+        const double p =
+            0.5 + 0.5 * std::erf(std::sqrt(M_PI) * (0.0 - vth) / dvin);
+        const Tensor y = layer.forward(Tensor({20000, 1}), false);
+        EXPECT_NEAR(plusFraction(y), p, 0.02) << "offset " << offset;
+    }
+}
+
 TEST(CellBinarizeTest, GradientIsErfDerivative)
 {
-    // Backward is d/dx E[ab] = d/dx erf(sqrt(pi) x / w) with w the
-    // channel width floored at 1: channel 0's width 0.5 floors to 1,
-    // channel 1's stays 3.
+    // Backward is d/dx erf(sqrt(pi) x / w) = (2 / w) exp(-pi x^2 / w^2)
+    // with w the channel width floored at 1: channel 0's width 0.5
+    // floors to 1, channel 1's stays 3.
     Rng rng(4);
     const auto model = atten();
     const AqfpBehavior b{16, 2.4, 0.0};
@@ -180,21 +202,69 @@ TEST(CellBinarizeTest, GradientIsErfDerivative)
         x.at(i, 0) = x.at(i, 1) = xs[i];
     layer.forward(x, true);
     const Tensor dx = layer.backward(Tensor(x.shape(), 1.0f));
-    const double eps = 1e-4;
     for (std::size_t c = 0; c < 2; ++c) {
         const double w = std::max(layer.channelWidth(c), 1.0);
         EXPECT_NEAR(w, c == 0 ? 1.0 : 3.0, 1e-4);
-        const auto expectation = [&](double v) {
-            return std::erf(std::sqrt(M_PI) * v / w);
-        };
         for (std::size_t i = 0; i < 5; ++i) {
             const double v = xs[i];
             const double closed = (2.0 / w) * std::exp(-M_PI * v * v / (w * w));
-            const double numeric =
-                (expectation(v + eps) - expectation(v - eps)) / (2.0 * eps);
             EXPECT_NEAR(dx.at(i, c), closed, 1e-5) << "c " << c << " x " << v;
-            EXPECT_NEAR(dx.at(i, c), numeric, 1e-4) << "c " << c << " x " << v;
         }
+    }
+}
+
+TEST(CellBinarizeTest, GradientMatchesNumericExpectation)
+{
+    // The backward pass is d/dx E[ab] = d/dx (2 P(x) - 1), taken here
+    // by central difference of the expectation erf(sqrt(pi) x / w).
+    Rng rng(5);
+    const auto model = atten();
+    const AqfpBehavior b{16, 2.4, 0.0};
+    const double dvin = b.deltaVin(model);
+    auto bn = makeBn(1, {1.0f}, {0.0f}, {0.0f}, {1.0f});
+    nn::Parameter alpha(Tensor::fromVector({static_cast<float>(2.0 / dvin)}));
+    const FixedPartials source = uniformPartials(1, 3, 1.0f);
+    CellBinarize layer(b, model, rng, &bn, &alpha, source);
+    const double w = std::max(layer.channelWidth(0), 1.0);
+    const auto expectation = [&](double v) {
+        return std::erf(std::sqrt(M_PI) * v / w);
+    };
+    const std::vector<float> xs = {-0.6f, 0.1f, 0.9f};
+    const Tensor x = Tensor::fromVector(xs).reshaped({3, 1});
+    layer.forward(x, true);
+    const Tensor dx = layer.backward(Tensor(x.shape(), 1.0f));
+    const double eps = 1e-5;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        const double v = xs[i];
+        const double numeric =
+            (expectation(v + eps) - expectation(v - eps)) / (2.0 * eps);
+        EXPECT_NEAR(dx.at(i, 0), numeric, 1e-4) << "x " << v;
+    }
+}
+
+TEST(CellBinarizeTest, OutputsAreBipolar)
+{
+    // Dense [batch, features] input, in training and in inference.
+    Rng rng(1);
+    const auto model = atten();
+    auto bn = makeBn(10, std::vector<float>(10, 1.0f),
+                     std::vector<float>(10, 0.0f),
+                     std::vector<float>(10, 0.0f),
+                     std::vector<float>(10, 1.0f));
+    nn::Parameter alpha(Tensor({10}, 1.0f));
+    Tensor x = Tensor::randn({4, 10}, rng);
+    Tensor partials({3, x.size()});
+    for (std::size_t i = 0; i < partials.size(); ++i)
+        partials[i] = static_cast<float>(rng.randint(-16, 16));
+    const FixedPartials source(3, 16, partials);
+    CellBinarize layer(AqfpBehavior{16, 2.4, 0.0}, model, rng, &bn,
+                       &alpha, source);
+    for (const bool training : {true, false}) {
+        const Tensor y = layer.forward(x, training);
+        EXPECT_EQ(y.shape(), x.shape());
+        for (std::size_t i = 0; i < y.size(); ++i)
+            EXPECT_TRUE(y[i] == 1.0f || y[i] == -1.0f)
+                << "training " << training << " i " << i;
     }
 }
 

@@ -247,6 +247,7 @@ main(int argc, char **argv)
     std::size_t mismatches = 0;
     std::uint64_t batches = 0;
     std::size_t largestBatch = 0;
+    std::uint64_t lingered = 0;
     double energyAj = 0.0;
     double hardwareUs = 0.0;
     {
@@ -280,6 +281,7 @@ main(int argc, char **argv)
         const serve::ServiceStats stats = service.stats();
         batches = stats.batches;
         largestBatch = stats.largestBatch;
+        lingered = stats.lingered;
         // Per-request attribution from a probe response (constant for
         // a mapped model).
         const serve::InferenceResponse probe =
@@ -319,6 +321,7 @@ main(int argc, char **argv)
         Leg leg;
         std::uint64_t accepted = 0;
         std::uint64_t dropped = 0;
+        std::uint64_t lingered = 0;
     };
     std::vector<LevelResult> offered;
     for (const double qps : levels) {
@@ -356,17 +359,19 @@ main(int argc, char **argv)
         lr.leg = makeLeg(wall, lat);
         lr.accepted = futures.size();
         lr.dropped = dropped;
+        lr.lingered = service.stats().lingered;
         offered.push_back(lr);
     }
 
     std::fprintf(stderr,
                  "loadgen: sequential %.1f req/s, batched %.1f req/s "
-                 "(x%.2f, %llu batches, largest %zu), mismatches %zu\n",
+                 "(x%.2f, %llu batches, largest %zu, lingered %llu), "
+                 "mismatches %zu\n",
                  sequential.qps, batched.qps,
                  sequential.qps > 0.0 ? batched.qps / sequential.qps
                                       : 0.0,
                  static_cast<unsigned long long>(batches), largestBatch,
-                 mismatches);
+                 static_cast<unsigned long long>(lingered), mismatches);
 
     // The artifact: fixed schema + key order (docs/SERVING.md).
     std::printf("{\n");
@@ -379,11 +384,13 @@ main(int argc, char **argv)
     printLeg("sequential", sequential);
     std::printf(",\n");
     {
-        char extra[96];
+        char extra[128];
         std::snprintf(extra, sizeof(extra),
-                      ", \"batches\": %llu, \"largest_batch\": %zu",
+                      ", \"batches\": %llu, \"largest_batch\": %zu, "
+                      "\"lingered\": %llu",
                       static_cast<unsigned long long>(batches),
-                      largestBatch);
+                      largestBatch,
+                      static_cast<unsigned long long>(lingered));
         printLeg("batched", batched, extra);
     }
     std::printf(",\n");
@@ -399,11 +406,12 @@ main(int argc, char **argv)
         std::printf("%s\n    {\"offered_qps\": %.1f, "
                     "\"achieved_qps\": %.1f, \"p50_us\": %.1f, "
                     "\"p99_us\": %.1f, \"accepted\": %llu, "
-                    "\"dropped\": %llu}",
+                    "\"dropped\": %llu, \"lingered\": %llu}",
                     i == 0 ? "" : ",", lr.offered, lr.leg.qps,
                     lr.leg.p50Us, lr.leg.p99Us,
                     static_cast<unsigned long long>(lr.accepted),
-                    static_cast<unsigned long long>(lr.dropped));
+                    static_cast<unsigned long long>(lr.dropped),
+                    static_cast<unsigned long long>(lr.lingered));
     }
     std::printf("\n  ]\n}\n");
     return mismatches == 0 ? 0 : 1;

@@ -109,10 +109,11 @@ main(int argc, char **argv)
     const serve::ServiceStats s = service.stats();
     std::fprintf(stderr,
                  "serve_server: served %llu requests in %llu batches "
-                 "(largest %zu), rejected %llu\n",
+                 "(largest %zu, lingered %llu), rejected %llu\n",
                  static_cast<unsigned long long>(s.served),
                  static_cast<unsigned long long>(s.batches),
                  s.largestBatch,
+                 static_cast<unsigned long long>(s.lingered),
                  static_cast<unsigned long long>(s.rejected));
     return 0;
 }

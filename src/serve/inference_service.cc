@@ -79,7 +79,8 @@ ServiceConfig::fromEnv()
     cfg.maxBatch = util::envSize("SUPERBNN_SERVE_MAX_BATCH",
                                  cfg.maxBatch, /*min_value=*/1);
     cfg.maxLingerMicros =
-        util::envSize("SUPERBNN_SERVE_LINGER_US", cfg.maxLingerMicros);
+        util::envSize("SUPERBNN_SERVE_LINGER_US", cfg.maxLingerMicros,
+                      /*min_value=*/0, ServiceConfig::kMaxLingerMicros);
     cfg.maxQueue = util::envSize("SUPERBNN_SERVE_QUEUE", cfg.maxQueue,
                                  /*min_value=*/1);
     return cfg;
@@ -90,6 +91,15 @@ InferenceService::InferenceService(
     : evaluator(evaluator), cfg(config),
       shards_(util::ShardedExecutorPool::shared())
 {
+    // A zero maxBatch would spin the dispatcher on empty batches
+    // forever, never serving a request.
+    if (cfg.maxBatch == 0)
+        throw std::invalid_argument("InferenceService: maxBatch is 0");
+    if (cfg.maxLingerMicros > ServiceConfig::kMaxLingerMicros)
+        throw std::invalid_argument(
+            "InferenceService: maxLingerMicros "
+            + std::to_string(cfg.maxLingerMicros) + " exceeds "
+            + std::to_string(ServiceConfig::kMaxLingerMicros));
     dispatcher = std::thread([this] { dispatchLoop(); });
 }
 
@@ -147,8 +157,14 @@ InferenceService::trySubmitLocked(Tensor sample, std::uint64_t seed,
     std::future<InferenceResponse> fut = p.promise.get_future();
     queue.push_back(std::move(p));
     ++counters.accepted;
+    // Only these two pushes can turn a dispatcher predicate true (work
+    // to take, or a full batch ending the linger); any other push would
+    // wake it for nothing.
+    const bool notify =
+        queue.size() == 1 || queue.size() == cfg.maxBatch;
     lock.unlock();
-    wake.notify_all();
+    if (notify)
+        wake.notify_all();
     return fut;
 }
 
@@ -177,19 +193,30 @@ InferenceService::stats() const
 void
 InferenceService::dispatchLoop()
 {
+    const std::chrono::microseconds window(cfg.maxLingerMicros);
+    // When the previous batch finished; starting at dispatcher start
+    // keeps a burst into a fresh service coalesced.
+    Clock::time_point lastDone = Clock::now();
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
         wake.wait(lock, [&] { return stopping || !queue.empty(); });
         if (queue.empty())
             return; // stopping and drained
         // Linger: give the batch a chance to fill, bounded by the
-        // oldest request's deadline. A stopping service skips the
+        // oldest request's deadline — but only while arrivals overlap:
+        // the oldest request came within a window of the last batch
+        // finishing, or others already queued behind it (a client burst
+        // after a pause). A lone request that found the dispatcher idle
+        // for a full window goes at once. A stopping service skips the
         // linger — drain latency beats drain batching.
+        const Clock::time_point oldest = queue.front().enqueued;
+        const Clock::time_point deadline = oldest + window;
+        const bool overlapping =
+            oldest < lastDone + window || queue.size() > 1;
         if (cfg.maxLingerMicros > 0 && !stopping
-            && queue.size() < cfg.maxBatch) {
-            const auto deadline =
-                queue.front().enqueued
-                + std::chrono::microseconds(cfg.maxLingerMicros);
+            && queue.size() < cfg.maxBatch && overlapping
+            && Clock::now() < deadline) {
+            ++counters.lingered;
             wake.wait_until(lock, deadline, [&] {
                 return stopping || queue.size() >= cfg.maxBatch;
             });
@@ -206,11 +233,8 @@ InferenceService::dispatchLoop()
         counters.largestBatch =
             std::max(counters.largestBatch, batch.size());
         lock.unlock();
-        // A dequeued slot frees queue capacity immediately; clients
-        // blocked on QueueFullError backoff can re-submit while the
-        // batch runs.
-        wake.notify_all();
         serveBatch(batch);
+        lastDone = Clock::now();
         lock.lock();
         counters.served += batch.size();
     }

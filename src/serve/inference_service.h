@@ -66,11 +66,18 @@ struct ServiceConfig
 {
     /// Largest megabatch the dispatcher hands the evaluator at once.
     std::size_t maxBatch = 16;
-    /// How long the dispatcher lingers after the oldest queued request
+    /// Most the dispatcher lingers after the oldest queued request
     /// arrived, waiting for the batch to fill, before dispatching a
-    /// partial one. 0 = dispatch immediately (no coalescing beyond
-    /// what is already queued).
+    /// partial one. It lingers only while arrivals overlap: the oldest
+    /// request arrived within this window of the previous batch
+    /// finishing (or of the service starting), or more than one
+    /// request is queued. A lone request that finds the dispatcher
+    /// idle for a full window is dispatched at once. 0 = never linger.
+    /// At most kMaxLingerMicros.
     std::size_t maxLingerMicros = 200;
+    /// Upper bound on maxLingerMicros (10 s): larger values are
+    /// rejected, so a linger deadline cannot overflow the clock.
+    static constexpr std::size_t kMaxLingerMicros = 10'000'000;
     /// Bounded admission queue: submit() beyond this rejects with
     /// QueueFullError (backpressure; see docs/SERVING.md).
     std::size_t maxQueue = 256;
@@ -80,9 +87,9 @@ struct ServiceConfig
 
     /**
      * Defaults overridden by SUPERBNN_SERVE_MAX_BATCH (>= 1),
-     * SUPERBNN_SERVE_LINGER_US (>= 0), and SUPERBNN_SERVE_QUEUE
-     * (>= 1), each with util::envSize's ignore-invalid-with-notice
-     * semantics.
+     * SUPERBNN_SERVE_LINGER_US (0 to kMaxLingerMicros), and
+     * SUPERBNN_SERVE_QUEUE (>= 1), each with util::envSize's
+     * ignore-invalid-with-notice semantics.
      */
     static ServiceConfig fromEnv();
 };
@@ -131,6 +138,7 @@ struct ServiceStats
     std::uint64_t served = 0;   ///< responses fulfilled
     std::uint64_t batches = 0;  ///< megabatches dispatched
     std::size_t largestBatch = 0;
+    std::uint64_t lingered = 0; ///< batches held back for the linger
 };
 
 /**
@@ -159,6 +167,9 @@ class InferenceService
     /**
      * @param evaluator  a mapped evaluator (must outlive the service)
      * @param config     admission/batching knobs
+     * @throws std::invalid_argument when config.maxBatch is 0 or
+     *         config.maxLingerMicros exceeds
+     *         ServiceConfig::kMaxLingerMicros
      */
     InferenceService(const core::HardwareEvaluator &evaluator,
                      ServiceConfig config);
@@ -218,7 +229,10 @@ class InferenceService
     std::optional<std::future<InferenceResponse>>
     trySubmitLocked(Tensor sample, std::uint64_t seed,
                     bool throw_on_reject);
-    /** The dispatcher thread's admit-linger-dispatch loop. */
+    /**
+     * The dispatcher thread's admit-linger-dispatch loop. It lingers
+     * only while arrivals overlap (see ServiceConfig::maxLingerMicros).
+     */
     void dispatchLoop();
     /** Evaluate one megabatch and fulfill its promises. */
     void serveBatch(std::vector<Pending> &batch);

@@ -242,12 +242,13 @@ SocketServer::handleLine(const std::string &line)
         const ServiceStats s = service.stats();
         char out[160];
         std::snprintf(out, sizeof(out),
-                      "stats %llu %llu %llu %llu %zu\n",
+                      "stats %llu %llu %llu %llu %zu %llu\n",
                       static_cast<unsigned long long>(s.accepted),
                       static_cast<unsigned long long>(s.served),
                       static_cast<unsigned long long>(s.rejected),
                       static_cast<unsigned long long>(s.batches),
-                      s.largestBatch);
+                      s.largestBatch,
+                      static_cast<unsigned long long>(s.lingered));
         return out;
     }
     const std::optional<std::uint64_t> index = parseU64(index_text);

@@ -10,6 +10,7 @@
  *         -> err <reason>            (bad index, full queue, shutdown)
  *     stats
  *         -> stats <accepted> <served> <rejected> <batches> <largest>
+ *                  <lingered>
  *     quit
  *         -> (connection closed)
  *

@@ -28,7 +28,8 @@ envWarnOnce(const char *name, const char *value, const char *want,
 }
 
 std::size_t
-envSize(const char *name, std::size_t fallback, std::size_t min_value)
+envSize(const char *name, std::size_t fallback, std::size_t min_value,
+        std::size_t max_value)
 {
     const char *env = std::getenv(name);
     if (env == nullptr)
@@ -37,11 +38,15 @@ envSize(const char *name, std::size_t fallback, std::size_t min_value)
     errno = 0;
     const unsigned long long v = std::strtoull(env, &end, 10);
     if (end != env && *end == '\0' && errno == 0 && *env != '-'
-        && v >= min_value)
+        && v >= min_value && v <= max_value)
         return static_cast<std::size_t>(v);
     char want[64];
     char used[32];
-    std::snprintf(want, sizeof want, "an integer >= %zu", min_value);
+    if (max_value == SIZE_MAX)
+        std::snprintf(want, sizeof want, "an integer >= %zu", min_value);
+    else
+        std::snprintf(want, sizeof want, "an integer in [%zu, %zu]",
+                      min_value, max_value);
     std::snprintf(used, sizeof used, "%zu", fallback);
     envWarnOnce(name, env, want, used);
     return fallback;

@@ -16,19 +16,22 @@
 #define SUPERBNN_UTIL_ENV_H
 
 #include <cstddef>
+#include <cstdint>
 
 namespace superbnn::util {
 
 /**
  * The environment variable @p name parsed as a base-10 integer in
- * [@p min_value, SIZE_MAX], or @p fallback when the variable is unset
- * or invalid (with the warn-once stderr notice described in the file
- * header). @p min_value distinguishes knobs where 0 is meaningful
+ * [@p min_value, @p max_value], or @p fallback when the variable is
+ * unset or invalid (with the warn-once stderr notice described in the
+ * file header). @p min_value distinguishes knobs where 0 is meaningful
  * (e.g. a zero-linger scheduler) from knobs where it is not (a pool
- * of 0 threads).
+ * of 0 threads); @p max_value caps knobs whose consumers cannot take
+ * any size_t (a linger added to a clock time point).
  */
 std::size_t envSize(const char *name, std::size_t fallback,
-                    std::size_t min_value = 0);
+                    std::size_t min_value = 0,
+                    std::size_t max_value = SIZE_MAX);
 
 /**
  * The environment variable @p name parsed as a boolean flag: "1" is

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -284,6 +285,86 @@ TEST(InferenceService, ZeroLingerDispatchesImmediately)
     EXPECT_EQ(stats.batches, 4u);
 }
 
+TEST(InferenceService, IdleRequestSkipsLinger)
+{
+    // A request that finds the dispatcher idle for a full window has
+    // nothing to coalesce with: it must go at once, not wait out the
+    // linger.
+    const auto eval = makeMlpEvaluator();
+    ServiceConfig cfg = quickConfig();
+    cfg.maxLingerMicros = 200000;
+    InferenceService service(*eval, cfg);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const InferenceResponse r =
+        service.submit(flatSample(32, 0), 7).get();
+    EXPECT_LT(r.queueMicros, 100000.0);
+    EXPECT_EQ(r.batchSize, 1u);
+    EXPECT_EQ(service.stats().lingered, 0u);
+}
+
+TEST(InferenceService, RequestsFollowingABatchStillCoalesce)
+{
+    // Traffic that closely follows a batch is the traffic worth
+    // batching: the burst after a served request lingers and rides one
+    // full batch, which ends the linger early.
+    const auto eval = makeMlpEvaluator();
+    ServiceConfig cfg = quickConfig();
+    cfg.maxBatch = 4;
+    cfg.maxLingerMicros = 500000;
+    InferenceService service(*eval, cfg);
+    EXPECT_EQ(service.submit(flatSample(32, 0), 1).get().batchSize, 1u);
+    const Plan plan = makePlan(4);
+    std::vector<std::future<InferenceResponse>> futures;
+    for (std::size_t i = 0; i < plan.samples.size(); ++i)
+        futures.push_back(service.submit(plan.samples[i], plan.seeds[i]));
+    for (auto &fut : futures) {
+        const InferenceResponse r = fut.get();
+        EXPECT_EQ(r.batchSize, 4u);
+        EXPECT_LT(r.queueMicros, 250000.0);
+    }
+    service.stop();
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.batches, 2u);
+    // The fresh-service request lingered; the burst did too unless the
+    // dispatcher woke only after all four were queued.
+    EXPECT_GE(stats.lingered, 1u);
+    EXPECT_LE(stats.lingered, 2u);
+}
+
+TEST(InferenceService, LingerAboveTenSecondsIsRejected)
+{
+    // A linger is added to a clock time point; an unbounded one
+    // overflows it (signed-overflow UB from 10^16 us, and 2^64 - 1
+    // wraps to a negative linger).
+    const auto eval = makeMlpEvaluator();
+    ServiceConfig cfg = quickConfig();
+    cfg.maxLingerMicros = ServiceConfig::kMaxLingerMicros;
+    EXPECT_NO_THROW({ InferenceService service(*eval, cfg); });
+    for (const std::size_t linger :
+         {ServiceConfig::kMaxLingerMicros + 1, SIZE_MAX}) {
+        cfg.maxLingerMicros = linger;
+        try {
+            InferenceService service(*eval, cfg);
+            FAIL() << "expected std::invalid_argument for " << linger;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(std::to_string(linger)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(InferenceService, ZeroMaxBatchIsRejected)
+{
+    // With no room in a batch the dispatcher would spin on empty
+    // batches and never fulfil a future.
+    const auto eval = makeMlpEvaluator();
+    ServiceConfig cfg = quickConfig();
+    cfg.maxBatch = 0;
+    EXPECT_THROW({ InferenceService service(*eval, cfg); },
+                 std::invalid_argument);
+}
+
 TEST(InferenceService, FullQueueRejects)
 {
     const auto eval = makeMlpEvaluator();
@@ -527,7 +608,16 @@ TEST(SocketServer, RoundTripAndStats)
               "err sample index out of range\n");
     EXPECT_EQ(roundTrip("bogus\n"),
               "err bad request (want: predict <index> <seed>)\n");
-    EXPECT_EQ(roundTrip("stats\n").rfind("stats ", 0), 0u);
+    unsigned long long fields[6] = {};
+    const std::string stats = roundTrip("stats\n");
+    ASSERT_EQ(std::sscanf(stats.c_str(),
+                          "stats %llu %llu %llu %llu %llu %llu", &fields[0],
+                          &fields[1], &fields[2], &fields[3], &fields[4],
+                          &fields[5]),
+              6)
+        << "reply: " << stats;
+    EXPECT_EQ(fields[0], 1u);        // accepted
+    EXPECT_LE(fields[5], fields[3]); // lingered <= batches
 
     (void)::write(fd, "quit\n", 5);
     ::close(fd);
@@ -553,6 +643,21 @@ TEST(ServiceConfig, FromEnvParsesAndIgnoresInvalid)
     unsetenv("SUPERBNN_SERVE_MAX_BATCH");
     unsetenv("SUPERBNN_SERVE_LINGER_US");
     unsetenv("SUPERBNN_SERVE_QUEUE");
+}
+
+TEST(ServiceConfig, FromEnvIgnoresLingerAboveTenSeconds)
+{
+    const ServiceConfig defaults;
+    setenv("SUPERBNN_SERVE_LINGER_US", "10000000", 1);
+    EXPECT_EQ(ServiceConfig::fromEnv().maxLingerMicros,
+              ServiceConfig::kMaxLingerMicros);
+    for (const char *value : {"10000001", "18446744073709551615"}) {
+        setenv("SUPERBNN_SERVE_LINGER_US", value, 1);
+        EXPECT_EQ(ServiceConfig::fromEnv().maxLingerMicros,
+                  defaults.maxLingerMicros)
+            << value;
+    }
+    unsetenv("SUPERBNN_SERVE_LINGER_US");
 }
 
 // ---------------------------------------------------------------------
